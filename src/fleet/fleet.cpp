@@ -280,7 +280,8 @@ HomeResult FleetRunner::run_life(
     // Two-phase restore: state layers first, then — once apps and their
     // instruments exist — the telemetry layer, so restored counters land on
     // live series and erase the boot's own side effects.
-    const bool restored = snaps.restore(*resume).ok();
+    auto image = snaps.parse(resume->bytes);
+    const bool restored = image && snaps.restore(image.value()).ok();
     if (restored) {
       home.adopt_restored_leases();
       if (config_.run_apps) home.start_apps_all();
@@ -291,7 +292,7 @@ HomeResult FleetRunner::run_life(
       // before the capture, so the restored TELE chunk already has them.
       home.loop().run_for(kMillisecond);
       snaps.add_layer("telemetry", &tele_layer);
-      (void)snaps.restore_layers(resume->bytes, {"telemetry"});
+      (void)snaps.restore_layers(image.value(), {"telemetry"});
     } else {
       // Unrestorable image: behave like a fresh boot mid-timeline.
       snaps.add_layer("telemetry", &tele_layer);

@@ -372,7 +372,9 @@ void LiveFleet::build_home(std::size_t id,
     // The proven resume recipe (fleet::FleetRunner::run_life): state layers,
     // lease adoption, a 1 ms drain for boot-era in-flight frames, then the
     // telemetry layer so restored counters erase the boot's side effects.
-    const Status restored = snaps.restore(*resume);
+    auto image = snaps.parse(resume->bytes);
+    const Status restored =
+        image ? snaps.restore(image.value()) : Status(image.error());
     if (!restored.ok()) {
       h->error = restored.error().message;
       homes_[id] = std::move(h);
@@ -382,7 +384,7 @@ void LiveFleet::build_home(std::size_t id,
     if (config_.run_apps) h->scenario->start_apps_all();
     h->scenario->loop().run_for(kMillisecond);
     snaps.add_layer("telemetry", h->tele_layer.get());
-    if (auto s = snaps.restore_layers(resume->bytes, {"telemetry"});
+    if (auto s = snaps.restore_layers(image.value(), {"telemetry"});
         !s.ok()) {
       h->error = s.error().message;
     }
@@ -689,24 +691,17 @@ Timestamp LiveFleet::step() {
       // capture's tag. Wake-before-apply means the image already reflects
       // every mutation applied to the home; its older captured_at makes the
       // checkpoint "mixed" — resume catches the member up on the first step.
-      const auto stored = store_.get(i);
+      const snapshot::CaptureTag restamp{
+          capture_id, static_cast<std::uint32_t>(i),
+          static_cast<std::uint32_t>(homes_.size())};
+      auto stored = store_.get(i, &restamp);
       if (!stored) {
-        HW_LOG_ERROR(kLog, "checkpoint %llu: no image for hibernated home %zu",
-                     static_cast<unsigned long long>(capture_id), i);
-        continue;
-      }
-      auto restamped = snapshot::with_capture_tag(
-          stored.value().bytes,
-          snapshot::CaptureTag{capture_id, static_cast<std::uint32_t>(i),
-                               static_cast<std::uint32_t>(homes_.size())});
-      if (!restamped) {
-        HW_LOG_ERROR(kLog, "checkpoint %llu: restamp failed for home %zu: %s",
+        HW_LOG_ERROR(kLog, "checkpoint %llu: no image for home %zu: %s",
                      static_cast<unsigned long long>(capture_id), i,
-                     restamped.error().message.c_str());
+                     stored.error().message.c_str());
         continue;
       }
-      cp.images[i].bytes = std::move(restamped.value());
-      cp.images[i].captured_at = stored.value().captured_at;
+      cp.images[i] = std::move(stored.value());
     }
     checkpoints_.push_back(std::move(cp));
     metrics_.captures.inc();

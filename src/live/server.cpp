@@ -153,23 +153,37 @@ Timestamp LiveServer::pump() {
   if (advance) {
     fleet_.step();
     if (pending_steps_ > 0) --pending_steps_;
-    for (auto& [id, sub] : subs_) sample(sub);
+    BarrierScalars scalars;
+    for (auto& [id, sub] : subs_) sample(sub, scalars);
   }
   flush();
   return fleet_.now();
 }
 
-telemetry::ScalarMap LiveServer::collect(const Subscription& sub) const {
+telemetry::ScalarMap LiveServer::collect(const std::string& pattern,
+                                         const telemetry::ScalarMap& all) {
   telemetry::ScalarMap out;
-  for (auto& [name, value] : fleet_.scalars(sub.home)) {
-    if (series_matches(sub.pattern, name)) out.emplace(name, value);
+  if (!pattern.empty() && pattern.back() != '*') {
+    if (const auto it = all.find(pattern); it != all.end()) out.insert(*it);
+    return out;
+  }
+  // A prefix pattern's matches are one contiguous run of the sorted map.
+  const std::string prefix =
+      pattern.empty() ? pattern : pattern.substr(0, pattern.size() - 1);
+  for (auto it = all.lower_bound(prefix);
+       it != all.end() && it->first.starts_with(prefix); ++it) {
+    out.emplace_hint(out.end(), *it);
   }
   return out;
 }
 
-void LiveServer::sample(Subscription& sub) {
+void LiveServer::sample(Subscription& sub, BarrierScalars& scalars) {
   if (++sub.barriers % sub.every != 0) return;
-  telemetry::ScalarMap cur = collect(sub);
+  auto home = scalars.find(sub.home);
+  if (home == scalars.end()) {
+    home = scalars.emplace(sub.home, fleet_.scalars(sub.home)).first;
+  }
+  telemetry::ScalarMap cur = collect(sub.pattern, home->second);
 
   hwdb::rpc::DeltaPush frame;
   frame.sub_id = sub.id;

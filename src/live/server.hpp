@@ -95,12 +95,19 @@ class LiveServer {
     std::deque<hwdb::rpc::DeltaPush> queue;
   };
 
+  /// Fleet scalars read at this barrier, by home (kAllHomes: the merged
+  /// map). Each distinct home is read once, however many subscriptions
+  /// sample it.
+  using BarrierScalars = std::map<std::uint32_t, telemetry::ScalarMap>;
+
   hwdb::rpc::Response process(ClientAddress from,
                               const hwdb::rpc::Request& req);
-  void sample(Subscription& sub);
+  void sample(Subscription& sub, BarrierScalars& scalars);
   void enqueue(Subscription& sub, hwdb::rpc::DeltaPush frame);
   void flush();
-  [[nodiscard]] telemetry::ScalarMap collect(const Subscription& sub) const;
+  /// The series of `all` that `pattern` matches (series_matches).
+  [[nodiscard]] static telemetry::ScalarMap collect(
+      const std::string& pattern, const telemetry::ScalarMap& all);
 
   LiveFleet& fleet_;
   SendFn send_;

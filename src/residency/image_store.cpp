@@ -1,18 +1,39 @@
 #include "residency/image_store.hpp"
 
 #include <cstdio>
+#include <optional>
 
 #include "snapshot/codec.hpp"
 
 namespace hw::residency {
 namespace {
 
-/// Container framing: 20-byte image header, 12 bytes (tag/len/crc) per
-/// chunk. Framing is attributed to the first pooled copy of a chunk so an
-/// image with no shared chunks accounts for exactly its encoded size —
-/// deduped_bytes() is then zero unless pooling actually shared something.
-constexpr std::uint64_t kHeaderBytes = 20;
-constexpr std::uint64_t kChunkOverhead = 12;
+/// Container framing (12 bytes per chunk) is attributed to the first pooled
+/// copy of a chunk so an image with no shared chunks accounts for exactly
+/// its encoded size — deduped_bytes() is then zero unless pooling actually
+/// shared something.
+constexpr std::uint64_t kChunkOverhead = snapshot::kChunkHeaderBytes;
+
+/// Re-emits verified chunks with their known CRCs into an image of about
+/// `image_bytes`; with `restamp`, every FTAG chunk carries that tag instead.
+Result<Bytes> encode(const std::vector<const snapshot::Chunk*>& chunks,
+                     std::size_t image_bytes,
+                     const snapshot::CaptureTag* restamp) {
+  snapshot::Writer w(image_bytes);
+  bool stamped = false;
+  for (const snapshot::Chunk* c : chunks) {
+    if (restamp != nullptr && c->tag == snapshot::kCaptureTagChunk) {
+      snapshot::put_capture_tag(w, *restamp);
+      stamped = true;
+    } else {
+      w.add_chunk(*c);
+    }
+  }
+  if (restamp != nullptr && !stamped) {
+    return make_error("residency: no FTAG chunk to restamp");
+  }
+  return std::move(w).finish();
+}
 
 }  // namespace
 
@@ -39,14 +60,14 @@ Status ImageStore::put(std::uint64_t key,
   Entry entry;
   entry.captured_at = image.captured_at;
   entry.image_bytes = image.bytes.size();
-  reader.value().for_each_chunk([&](std::uint32_t tag, const Bytes& payload) {
-    const PoolKey pkey{tag, snapshot::crc32(payload),
-                       static_cast<std::uint32_t>(payload.size())};
+  for (const snapshot::Chunk& c : reader.value().chunks()) {
+    const PoolKey pkey{c.tag, c.crc,
+                       static_cast<std::uint32_t>(c.payload.size())};
     auto& bucket = pool_[pkey];
     PoolChunk* found = nullptr;
     if (config_.dedup) {
       for (auto& candidate : bucket) {
-        if (candidate->payload == payload) {
+        if (candidate->chunk.payload == c.payload) {
           found = candidate.get();
           break;
         }
@@ -55,35 +76,41 @@ Status ImageStore::put(std::uint64_t key,
     if (found == nullptr) {
       bucket.push_back(std::make_unique<PoolChunk>());
       found = bucket.back().get();
-      found->payload = payload;
-      stored_bytes_ += kChunkOverhead + payload.size();
+      found->chunk = c;
+      stored_bytes_ += kChunkOverhead + c.payload.size();
     }
     ++found->refs;
-    entry.chunks.emplace_back(tag, found);
-  });
+    entry.chunks.push_back(found);
+  }
   logical_bytes_ += entry.image_bytes;
-  stored_bytes_ += kHeaderBytes;
+  stored_bytes_ += snapshot::kHeaderBytes;
   entries_.emplace(key, std::move(entry));
   refresh_gauges_locked();
   return Status::success();
 }
 
-Result<snapshot::SnapshotImage> ImageStore::get(std::uint64_t key) const {
+Result<snapshot::SnapshotImage> ImageStore::get(
+    std::uint64_t key, const snapshot::CaptureTag* restamp) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
     return make_error("residency: no image for key " + std::to_string(key));
   }
+  std::vector<const snapshot::Chunk*> chunks;
+  std::optional<snapshot::Reader> spilled;
   if (it->second.spilled) {
-    return snapshot::SnapshotCoordinator::read_file(spill_path(key));
+    auto image = snapshot::SnapshotCoordinator::read_file(spill_path(key));
+    if (!image || restamp == nullptr) return image;
+    auto reader = snapshot::Reader::parse(image.value().bytes);
+    if (!reader) return reader.error();
+    spilled = std::move(reader.value());
+    for (const snapshot::Chunk& c : spilled->chunks()) chunks.push_back(&c);
+  } else {
+    for (const PoolChunk* c : it->second.chunks) chunks.push_back(&c->chunk);
   }
-  snapshot::Writer w;
-  for (const auto& [tag, chunk] : it->second.chunks) {
-    ByteWriter& c = w.begin_chunk(tag);
-    c.raw(chunk->payload);
-    w.end_chunk();
-  }
-  return snapshot::SnapshotImage{std::move(w).finish(),
+  auto bytes = encode(chunks, it->second.image_bytes, restamp);
+  if (!bytes) return bytes.error();
+  return snapshot::SnapshotImage{std::move(bytes.value()),
                                  it->second.captured_at};
 }
 
@@ -112,13 +139,11 @@ Status ImageStore::spill(std::uint64_t key) {
     return make_error("residency: no image for key " + std::to_string(key));
   }
   if (it->second.spilled) return Status::success();
-  snapshot::Writer w;
-  for (const auto& [tag, chunk] : it->second.chunks) {
-    ByteWriter& c = w.begin_chunk(tag);
-    c.raw(chunk->payload);
-    w.end_chunk();
-  }
-  const snapshot::SnapshotImage image{std::move(w).finish(),
+  std::vector<const snapshot::Chunk*> chunks;
+  for (const PoolChunk* c : it->second.chunks) chunks.push_back(&c->chunk);
+  auto bytes = encode(chunks, it->second.image_bytes, nullptr);
+  if (!bytes) return bytes.error();
+  const snapshot::SnapshotImage image{std::move(bytes.value()),
                                       it->second.captured_at};
   if (auto s = snapshot::SnapshotCoordinator::write_file(spill_path(key),
                                                          image);
@@ -153,16 +178,17 @@ std::uint64_t ImageStore::deduped_bytes() const {
 
 void ImageStore::release_chunks_locked(Entry& entry) {
   if (entry.spilled) return;  // chunks already released at spill time
-  for (const auto& [tag, chunk] : entry.chunks) {
-    if (--chunk->refs > 0) continue;
-    const PoolKey pkey{tag, snapshot::crc32(chunk->payload),
-                       static_cast<std::uint32_t>(chunk->payload.size())};
+  for (PoolChunk* pooled : entry.chunks) {
+    if (--pooled->refs > 0) continue;
+    const snapshot::Chunk& chunk = pooled->chunk;
+    const PoolKey pkey{chunk.tag, chunk.crc,
+                       static_cast<std::uint32_t>(chunk.payload.size())};
     auto pit = pool_.find(pkey);
     if (pit == pool_.end()) continue;
-    stored_bytes_ -= kChunkOverhead + chunk->payload.size();
+    stored_bytes_ -= kChunkOverhead + chunk.payload.size();
     auto& bucket = pit->second;
     for (auto bit = bucket.begin(); bit != bucket.end(); ++bit) {
-      if (bit->get() == chunk) {
+      if (bit->get() == pooled) {
         bucket.erase(bit);
         break;
       }
@@ -170,7 +196,7 @@ void ImageStore::release_chunks_locked(Entry& entry) {
     if (bucket.empty()) pool_.erase(pit);
   }
   logical_bytes_ -= entry.image_bytes;
-  stored_bytes_ -= kHeaderBytes;
+  stored_bytes_ -= snapshot::kHeaderBytes;
   entry.chunks.clear();
 }
 

@@ -1,10 +1,11 @@
 // ImageStore: content-addressed storage for hibernated homes' snapshot
-// images. An image (the PR 5 chunked-TLV container) is split into its chunks
-// on put(); chunk payloads are pooled by (tag, CRC32, length) with a byte
-// compare on collision, so the near-identical images quiet homes produce
-// share storage instead of multiplying it. get() reassembles the original
+// images. An image (the chunked-TLV snapshot container) is split into its
+// chunks on put(); chunk payloads are pooled by (tag, CRC32, length) with a
+// byte compare on collision, so the near-identical images quiet homes
+// produce share storage instead of multiplying it. Each pooled chunk keeps
+// the CRC the put()'s parse verified, so get() reassembles the original
 // image bit-exactly (the container encoding is canonical: header fields are
-// pure functions of the chunk sequence).
+// pure functions of the chunk sequence) without a CRC pass over a payload.
 //
 // Optionally file-backed: spill(key) writes the image to `spill_dir` (atomic
 // tmp+rename via SnapshotCoordinator) and drops the in-memory chunks; get()
@@ -51,8 +52,11 @@ class ImageStore {
   /// image). Rejects images that fail container validation untouched.
   Status put(std::uint64_t key, const snapshot::SnapshotImage& image);
   /// Reassembles the stored image bit-exactly (reloading from disk when the
-  /// key was spilled).
-  [[nodiscard]] Result<snapshot::SnapshotImage> get(std::uint64_t key) const;
+  /// key was spilled). With `restamp`, the image's FTAG chunk carries that
+  /// capture tag instead — a fleet checkpoint reusing a hibernated member's
+  /// image; errors when the image has no FTAG chunk.
+  [[nodiscard]] Result<snapshot::SnapshotImage> get(
+      std::uint64_t key, const snapshot::CaptureTag* restamp = nullptr) const;
   [[nodiscard]] bool contains(std::uint64_t key) const;
   void erase(std::uint64_t key);
 
@@ -68,9 +72,10 @@ class ImageStore {
   [[nodiscard]] std::uint64_t deduped_bytes() const;
 
  private:
-  /// Pooled chunk payload; refs counts how many stored images reference it.
+  /// Pooled chunk with its verified CRC; refs counts how many stored images
+  /// reference it.
   struct PoolChunk {
-    Bytes payload;
+    snapshot::Chunk chunk;
     std::size_t refs = 0;
   };
   /// Pool key: (tag, CRC32, length). Collisions resolved by byte compare
@@ -80,7 +85,7 @@ class ImageStore {
   struct Entry {
     Timestamp captured_at = 0;
     std::uint64_t image_bytes = 0;  // original encoded size
-    std::vector<std::pair<std::uint32_t, PoolChunk*>> chunks;
+    std::vector<PoolChunk*> chunks;
     bool spilled = false;
   };
 

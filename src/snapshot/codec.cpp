@@ -1,32 +1,30 @@
 #include "snapshot/codec.hpp"
 
+#include <zlib.h>
+
+#include <algorithm>
 #include <array>
 #include <cassert>
 
 namespace hw::snapshot {
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
+/// CRC32 of `crc`'s bytes followed by `len` bytes whose CRC32 is `next`.
+std::uint32_t crc32_append(std::uint32_t crc, std::uint32_t next,
+                           std::size_t len) {
+  return static_cast<std::uint32_t>(
+      ::crc32_combine(crc, next, static_cast<z_off_t>(len)));
+}
+
+/// CRC32 of `crc`'s bytes followed by the chunk header at `header`.
+std::uint32_t crc32_header(std::uint32_t crc, const std::uint8_t* header) {
+  return static_cast<std::uint32_t>(::crc32_z(crc, header, kChunkHeaderBytes));
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::uint8_t byte : data) {
-    crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return static_cast<std::uint32_t>(::crc32_z(0, data.data(), data.size()));
 }
 
 void put_string(ByteWriter& w, std::string_view s) {
@@ -58,40 +56,57 @@ Result<Ipv4Address> get_ip(ByteReader& r) {
   return Ipv4Address{v.value()};
 }
 
+Writer::Writer(std::size_t reserve)
+    : out_(std::max(reserve, kHeaderBytes)) {
+  out_.zeros(kHeaderBytes);  // filled in by finish()
+}
+
 ByteWriter& Writer::begin_chunk(std::uint32_t chunk_tag) {
   assert(!in_chunk_ && "snapshot chunks may not nest");
   in_chunk_ = true;
-  current_tag_ = chunk_tag;
-  current_ = ByteWriter{};
-  return current_;
+  chunk_start_ = out_.size();
+  out_.u32(chunk_tag);
+  out_.zeros(8);  // length and CRC, filled in by end_chunk()
+  return out_;
 }
 
 void Writer::end_chunk() {
   assert(in_chunk_ && "end_chunk without begin_chunk");
   in_chunk_ = false;
-  chunks_.push_back(Chunk{current_tag_, std::move(current_).take()});
+  const auto payload = std::span<const std::uint8_t>(out_.bytes())
+                           .subspan(chunk_start_ + kChunkHeaderBytes);
+  const std::uint32_t crc = crc32(payload);
+  out_.patch_u32(chunk_start_ + 4, static_cast<std::uint32_t>(payload.size()));
+  out_.patch_u32(chunk_start_ + 8, crc);
+  fold_chunk(crc, payload.size());
+}
+
+void Writer::add_chunk(const Chunk& chunk) {
+  assert(!in_chunk_ && "add_chunk with an open chunk");
+  chunk_start_ = out_.size();
+  out_.u32(chunk.tag);
+  out_.u32(static_cast<std::uint32_t>(chunk.payload.size()));
+  out_.u32(chunk.crc);
+  out_.raw(chunk.payload);
+  fold_chunk(chunk.crc, chunk.payload.size());
+}
+
+void Writer::fold_chunk(std::uint32_t crc, std::size_t len) {
+  payload_crc_ = crc32_header(payload_crc_, out_.bytes().data() + chunk_start_);
+  payload_crc_ = crc32_append(payload_crc_, crc, len);
+  ++chunk_count_;
 }
 
 Bytes Writer::finish() && {
   assert(!in_chunk_ && "finish with an open chunk");
-  // Payload: every chunk framed as tag / length / crc / bytes.
-  ByteWriter payload;
-  for (const Chunk& c : chunks_) {
-    payload.u32(c.tag);
-    payload.u32(static_cast<std::uint32_t>(c.payload.size()));
-    payload.u32(crc32(c.payload));
-    payload.raw(c.payload);
-  }
-  const Bytes body = std::move(payload).take();
-
-  ByteWriter image(20 + body.size());
-  image.u32(kMagic);
-  image.u16(kFormatVersion);
-  image.u16(static_cast<std::uint16_t>(chunks_.size()));
-  image.u32(static_cast<std::uint32_t>(body.size()));
-  image.u32(crc32(body));
-  image.raw(body);
-  return std::move(image).take();
+  out_.patch_u32(0, kMagic);
+  out_.patch_u16(4, kFormatVersion);
+  out_.patch_u16(6, static_cast<std::uint16_t>(chunk_count_));
+  out_.patch_u32(8, static_cast<std::uint32_t>(out_.size() - kHeaderBytes));
+  out_.patch_u32(12, payload_crc_);
+  Bytes image = std::move(out_).take();
+  image.shrink_to_fit();  // checkpoints keep their images: hold no slack
+  return image;
 }
 
 Result<Reader> Reader::parse(std::span<const std::uint8_t> image) {
@@ -115,29 +130,37 @@ Result<Reader> Reader::parse(std::span<const std::uint8_t> image) {
   }
   auto body = r.view(payload_size.value());
   if (!body) return make_error("snapshot: truncated payload");
-  if (crc32(body.value()) != payload_crc.value()) {
-    return make_error("snapshot: payload checksum mismatch");
-  }
 
+  // One CRC pass per chunk payload; the whole-payload CRC is derived from
+  // the chunk headers and the verified chunk CRCs.
   Reader out;
+  std::uint32_t derived = 0;
   ByteReader chunks(body.value());
   for (std::uint16_t i = 0; i < chunk_count.value(); ++i) {
+    const std::uint8_t* header = body.value().data() + chunks.position();
     auto chunk_tag = chunks.u32();
     auto len = chunks.u32();
     auto crc = chunks.u32();
     if (!chunk_tag || !len || !crc) {
       return make_error("snapshot: truncated chunk header");
     }
-    auto chunk_payload = chunks.raw(len.value());
+    auto chunk_payload = chunks.view(len.value());
     if (!chunk_payload) return make_error("snapshot: truncated chunk payload");
     if (crc32(chunk_payload.value()) != crc.value()) {
       return make_error("snapshot: chunk checksum mismatch");
     }
-    out.chunks_.push_back(
-        Chunk{chunk_tag.value(), std::move(chunk_payload).take()});
+    derived = crc32_header(derived, header);
+    derived = crc32_append(derived, crc.value(), len.value());
+    out.chunks_.push_back(Chunk{
+        chunk_tag.value(),
+        Bytes(chunk_payload.value().begin(), chunk_payload.value().end()),
+        crc.value()});
   }
   if (!chunks.empty()) {
     return make_error("snapshot: trailing bytes after last chunk");
+  }
+  if (derived != payload_crc.value()) {
+    return make_error("snapshot: payload checksum mismatch");
   }
   return out;
 }
@@ -155,11 +178,6 @@ std::vector<const Bytes*> Reader::find_all(std::uint32_t chunk_tag) const {
     if (c.tag == chunk_tag) out.push_back(&c.payload);
   }
   return out;
-}
-
-void Reader::for_each_chunk(
-    const std::function<void(std::uint32_t, const Bytes&)>& fn) const {
-  for (const Chunk& c : chunks_) fn(c.tag, c.payload);
 }
 
 }  // namespace hw::snapshot

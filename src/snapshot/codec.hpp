@@ -1,4 +1,4 @@
-// Chunked-TLV binary snapshot container. A snapshot is a 20-byte header
+// Chunked-TLV binary snapshot container. A snapshot is a 16-byte header
 // (magic 'HWSN', format version, chunk count, payload size, CRC32 of the
 // whole payload) followed by chunks: tag (fourcc), length, CRC32 of the
 // chunk payload, payload bytes. The whole-payload CRC guarantees any
@@ -6,10 +6,13 @@
 // flips inside a chunk *tag*, which per-chunk CRCs alone would silently
 // treat as an unknown chunk. Unknown tags are skipped on read, so newer
 // writers can add chunks without breaking older readers.
+//
+// Each payload byte is checksummed once per direction: the whole-payload
+// CRC is derived from the 12-byte chunk headers and the chunk CRCs
+// (CRC32 combination), never by hashing the payload a second time.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <span>
 #include <string>
@@ -34,6 +37,18 @@ constexpr std::uint32_t tag(const char (&s)[5]) {
 
 inline constexpr std::uint32_t kMagic = tag("HWSN");
 inline constexpr std::uint16_t kFormatVersion = 1;
+/// Image header: magic u32, version u16, chunk count u16, payload size u32,
+/// payload CRC u32.
+inline constexpr std::size_t kHeaderBytes = 16;
+/// Chunk framing: tag u32, length u32, payload CRC u32.
+inline constexpr std::size_t kChunkHeaderBytes = 12;
+
+/// One chunk of an image: its tag, its payload and the payload's CRC32.
+struct Chunk {
+  std::uint32_t tag = 0;
+  Bytes payload;
+  std::uint32_t crc = 0;
+};
 
 /// Length-prefixed string helpers shared by every layer codec.
 void put_string(ByteWriter& w, std::string_view s);
@@ -45,7 +60,8 @@ Result<MacAddress> get_mac(ByteReader& r);
 inline void put_ip(ByteWriter& w, Ipv4Address ip) { w.u32(ip.value()); }
 Result<Ipv4Address> get_ip(ByteReader& r);
 
-/// Builds a snapshot image chunk by chunk. Usage:
+/// Builds a snapshot image chunk by chunk, straight into one buffer.
+/// Usage:
 ///   Writer w;
 ///   ByteWriter& c = w.begin_chunk(tag("FTBL"));
 ///   c.u64(...);             // chunk payload
@@ -53,22 +69,30 @@ Result<Ipv4Address> get_ip(ByteReader& r);
 ///   Bytes image = std::move(w).finish();
 class Writer {
  public:
-  /// Starts a chunk; returns the writer the caller serializes into. Chunks
-  /// may not nest.
-  ByteWriter& begin_chunk(std::uint32_t chunk_tag);
-  void end_chunk();
+  /// `reserve`: the expected image size when known, so the image buffer is
+  /// allocated once.
+  explicit Writer(std::size_t reserve = 0);
 
-  /// Seals the image: header + all chunks. The Writer is spent afterwards.
+  /// Starts a chunk; returns the writer the caller appends the payload to
+  /// (the image buffer itself). Chunks may not nest.
+  ByteWriter& begin_chunk(std::uint32_t chunk_tag);
+  /// Seals the open chunk: the one CRC pass over its payload.
+  void end_chunk();
+  /// Appends a chunk whose payload CRC is already known — one a Reader
+  /// verified — without hashing the payload again.
+  void add_chunk(const Chunk& chunk);
+
+  /// Seals the image: fills in the header. The Writer is spent afterwards.
   [[nodiscard]] Bytes finish() &&;
 
  private:
-  struct Chunk {
-    std::uint32_t tag = 0;
-    Bytes payload;
-  };
-  std::vector<Chunk> chunks_;
-  ByteWriter current_;
-  std::uint32_t current_tag_ = 0;
+  /// Folds the chunk framed at chunk_start_ into payload_crc_.
+  void fold_chunk(std::uint32_t crc, std::size_t len);
+
+  ByteWriter out_;
+  std::uint32_t payload_crc_ = 0;  // CRC32 of every sealed chunk so far
+  std::size_t chunk_count_ = 0;
+  std::size_t chunk_start_ = 0;
   bool in_chunk_ = false;
 };
 
@@ -88,18 +112,14 @@ class Reader {
   [[nodiscard]] std::vector<const Bytes*> find_all(
       std::uint32_t chunk_tag) const;
   [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
-  /// Visits every chunk in image order. The encoding is canonical — header
-  /// fields are pure functions of the chunk sequence — so re-emitting the
-  /// visited chunks through a Writer reproduces the image bit-exactly
-  /// (what the residency ImageStore's content-addressed pool relies on).
-  void for_each_chunk(
-      const std::function<void(std::uint32_t, const Bytes&)>& fn) const;
+  /// Every chunk in image order, each with its verified CRC. The encoding
+  /// is canonical — header fields are pure functions of the chunk sequence
+  /// — so re-emitting these through Writer::add_chunk reproduces the image
+  /// bit-exactly (what the residency ImageStore's content-addressed pool
+  /// relies on).
+  [[nodiscard]] std::span<const Chunk> chunks() const { return chunks_; }
 
  private:
-  struct Chunk {
-    std::uint32_t tag = 0;
-    Bytes payload;
-  };
   std::vector<Chunk> chunks_;
 };
 

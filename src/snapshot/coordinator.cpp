@@ -8,7 +8,6 @@ namespace {
 
 constexpr std::uint32_t kMetaTag = tag("META");
 constexpr std::uint32_t kTeleTag = tag("TELE");
-constexpr std::uint32_t kFtagTag = tag("FTAG");
 
 }  // namespace
 
@@ -39,7 +38,7 @@ SnapshotImage SnapshotCoordinator::capture() {
   // then carries the incremented value, so a home resumed from it continues
   // the series exactly where the uninterrupted run would be.
   metrics_instruments_.captures.inc();
-  Writer w;
+  Writer w(last_image_ ? last_image_->bytes.size() : 0);
   w.begin_chunk(kMetaTag).u64(loop_.now());
   w.end_chunk();
   for (const Layer& l : layers_) l.layer->save(w);
@@ -51,14 +50,22 @@ SnapshotImage SnapshotCoordinator::capture() {
   return image;
 }
 
-Status SnapshotCoordinator::restore(std::span<const std::uint8_t> image) {
+Result<Reader> SnapshotCoordinator::parse(
+    std::span<const std::uint8_t> image) {
   auto reader = Reader::parse(image);
-  if (!reader) {
-    metrics_instruments_.corrupt_rejected.inc();
-    return reader.error();
-  }
+  if (!reader) metrics_instruments_.corrupt_rejected.inc();
+  return reader;
+}
+
+Status SnapshotCoordinator::restore(std::span<const std::uint8_t> image) {
+  auto reader = parse(image);
+  if (!reader) return reader.error();
+  return restore(reader.value());
+}
+
+Status SnapshotCoordinator::restore(const Reader& image) {
   for (const Layer& l : layers_) {
-    if (auto s = l.layer->restore(reader.value()); !s.ok()) return s;
+    if (auto s = l.layer->restore(image); !s.ok()) return s;
   }
   metrics_instruments_.restores.inc();
   return Status::success();
@@ -67,16 +74,18 @@ Status SnapshotCoordinator::restore(std::span<const std::uint8_t> image) {
 Status SnapshotCoordinator::restore_layers(
     std::span<const std::uint8_t> image,
     const std::vector<std::string>& names) {
-  auto reader = Reader::parse(image);
-  if (!reader) {
-    metrics_instruments_.corrupt_rejected.inc();
-    return reader.error();
-  }
+  auto reader = parse(image);
+  if (!reader) return reader.error();
+  return restore_layers(reader.value(), names);
+}
+
+Status SnapshotCoordinator::restore_layers(
+    const Reader& image, const std::vector<std::string>& names) {
   for (const Layer& l : layers_) {
     bool wanted = false;
     for (const std::string& n : names) wanted = wanted || n == l.name;
     if (!wanted) continue;
-    if (auto s = l.layer->restore(reader.value()); !s.ok()) return s;
+    if (auto s = l.layer->restore(image); !s.ok()) return s;
   }
   metrics_instruments_.restores.inc();
   return Status::success();
@@ -158,16 +167,18 @@ Result<SnapshotImage> SnapshotCoordinator::read_file(const std::string& path) {
   return SnapshotImage{std::move(bytes), at.value()};
 }
 
-void CaptureTagLayer::save(Writer& w) const {
-  ByteWriter& c = w.begin_chunk(kFtagTag);
-  c.u64(tag_.capture_id);
-  c.u32(tag_.member);
-  c.u32(tag_.members);
+void put_capture_tag(Writer& w, const CaptureTag& tag) {
+  ByteWriter& c = w.begin_chunk(kCaptureTagChunk);
+  c.u64(tag.capture_id);
+  c.u32(tag.member);
+  c.u32(tag.members);
   w.end_chunk();
 }
 
+void CaptureTagLayer::save(Writer& w) const { put_capture_tag(w, tag_); }
+
 Status CaptureTagLayer::restore(const Reader& r) {
-  const Bytes* chunk = r.find(kFtagTag);
+  const Bytes* chunk = r.find(kCaptureTagChunk);
   if (chunk == nullptr) return make_error("snapshot: no FTAG chunk");
   ByteReader br(*chunk);
   auto id = br.u64();
@@ -179,29 +190,6 @@ Status CaptureTagLayer::restore(const Reader& r) {
   tag_ = CaptureTag{id.value(), member.value(), members.value()};
   restored_ = true;
   return Status::success();
-}
-
-Result<Bytes> with_capture_tag(std::span<const std::uint8_t> image,
-                               const CaptureTag& tag) {
-  auto reader = Reader::parse(image);
-  if (!reader) return reader.error();
-  if (reader.value().find(kFtagTag) == nullptr) {
-    return make_error("snapshot: no FTAG chunk to restamp");
-  }
-  Writer w;
-  reader.value().for_each_chunk([&](std::uint32_t chunk_tag,
-                                    const Bytes& payload) {
-    ByteWriter& c = w.begin_chunk(chunk_tag);
-    if (chunk_tag == kFtagTag) {
-      c.u64(tag.capture_id);
-      c.u32(tag.member);
-      c.u32(tag.members);
-    } else {
-      c.raw(payload);
-    }
-    w.end_chunk();
-  });
-  return std::move(w).finish();
 }
 
 void TelemetryLayer::save(Writer& w) const {

@@ -50,14 +50,22 @@ class SnapshotCoordinator {
   /// Captures every registered layer into one image, stamped with now().
   [[nodiscard]] SnapshotImage capture();
 
+  /// Validates `image`, counting snapshot.corrupt_rejected on failure.
+  Result<Reader> parse(std::span<const std::uint8_t> image);
+
   /// Validates `image` and restores every registered layer from it. On any
   /// validation failure returns the error with snapshot.corrupt_rejected
   /// incremented and *no* layer touched.
   Status restore(const SnapshotImage& image) { return restore(image.bytes); }
   Status restore(std::span<const std::uint8_t> image);
+  /// Restores every registered layer from an image parse() already
+  /// validated (a caller restoring in two phases parses once).
+  Status restore(const Reader& image);
   /// Restores only the named layers (warm restart rebuilds the datapath's
   /// flow table without rewinding hwdb or the registry).
   Status restore_layers(std::span<const std::uint8_t> image,
+                        const std::vector<std::string>& names);
+  Status restore_layers(const Reader& image,
                         const std::vector<std::string>& names);
 
   /// Schedules captures at every absolute k * interval + phase instant (the
@@ -156,13 +164,14 @@ class CaptureTagLayer final : public Snapshottable {
   bool restored_ = false;
 };
 
-/// Rewrites the FTAG chunk of an encoded image with `tag`, leaving every
-/// other chunk byte-identical (header CRCs recomputed). A fleet checkpoint
-/// of a mixed resident/hibernated fleet reuses a hibernated member's stored
-/// image, restamped into the new capture so the stitched-set validation
-/// still holds. Errors when the image does not parse or has no FTAG chunk.
-Result<Bytes> with_capture_tag(std::span<const std::uint8_t> image,
-                               const CaptureTag& tag);
+/// Chunk tag of a CaptureTag.
+inline constexpr std::uint32_t kCaptureTagChunk = tag("FTAG");
+
+/// Appends the FTAG chunk carrying `tag` (CaptureTagLayer's encoding; a
+/// fleet checkpoint of a mixed resident/hibernated fleet emits a hibernated
+/// member's stored image with this chunk swapped in, so the stitched-set
+/// validation still holds).
+void put_capture_tag(Writer& w, const CaptureTag& tag);
 
 /// Snapshots a registry's non-histogram scalars ('TELE' chunk). Restore
 /// adjusts live instruments so each series sums to its captured value;

@@ -43,6 +43,11 @@ void ByteWriter::patch_u16(std::size_t offset, std::uint16_t v) {
   buf_.at(offset + 1) = static_cast<std::uint8_t>(v);
 }
 
+void ByteWriter::patch_u32(std::size_t offset, std::uint32_t v) {
+  patch_u16(offset, static_cast<std::uint16_t>(v >> 16));
+  patch_u16(offset + 2, static_cast<std::uint16_t>(v));
+}
+
 Result<std::uint8_t> ByteReader::u8() {
   if (remaining() < 1) return make_error("short read: u8");
   return data_[pos_++];

@@ -34,6 +34,7 @@ class ByteWriter {
   /// Overwrites a previously written big-endian u16 at `offset` (for length
   /// fields that are only known once the body is complete).
   void patch_u16(std::size_t offset, std::uint16_t v);
+  void patch_u32(std::size_t offset, std::uint32_t v);
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] const Bytes& bytes() const& { return buf_; }

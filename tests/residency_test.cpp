@@ -127,6 +127,77 @@ TEST_F(ImageStoreTest, SpillToDiskAndReloadBitExact) {
   std::remove((config.spill_dir + "/img-5.hwsn").c_str());
 }
 
+TEST_F(ImageStoreTest, UnsharedImageStoresItsEncodedSize) {
+  // Framing is attributed to first pooled copies, so an image that shares
+  // nothing costs exactly its encoded size.
+  ImageStore store;
+  const auto image = capture_after(kSecond);
+  ASSERT_TRUE(store.put(1, image).ok());
+  EXPECT_EQ(store.logical_bytes(), image.bytes.size());
+  EXPECT_EQ(store.stored_bytes(), store.logical_bytes());
+  EXPECT_EQ(store.deduped_bytes(), 0u);
+}
+
+// Restamping by parse and full rewrite: every chunk re-encoded (and
+// re-checksummed) through begin_chunk/end_chunk, the FTAG payload replaced.
+Bytes rewrite_with_tag(const Bytes& image, const snapshot::CaptureTag& tag) {
+  auto reader = snapshot::Reader::parse(image);
+  EXPECT_TRUE(reader.ok());
+  snapshot::Writer w;
+  for (const snapshot::Chunk& c : reader.value().chunks()) {
+    ByteWriter& out = w.begin_chunk(c.tag);
+    if (c.tag == snapshot::kCaptureTagChunk) {
+      out.u64(tag.capture_id);
+      out.u32(tag.member);
+      out.u32(tag.members);
+    } else {
+      out.raw(c.payload);
+    }
+    w.end_chunk();
+  }
+  return std::move(w).finish();
+}
+
+TEST_F(ImageStoreTest, RestampedGetEqualsParseAndRewrite) {
+  snapshot::CaptureTagLayer ftag;
+  ftag.value() = snapshot::CaptureTag{3, 0, 4};
+  router.snapshots().add_layer("capture-tag", &ftag);
+  ImageStore::Config config;
+  config.spill_dir = ::testing::TempDir();
+  ImageStore store(config);
+  const auto image = capture_after(kSecond);
+  ASSERT_TRUE(store.put(0, image).ok());
+  ASSERT_TRUE(store.put(6, image).ok());
+  ASSERT_TRUE(store.spill(6).ok());
+
+  const snapshot::CaptureTag restamp{9, 0, 4};
+  const Bytes want = rewrite_with_tag(image.bytes, restamp);
+  ASSERT_NE(want, image.bytes);
+  for (const std::uint64_t key : {0u, 6u}) {
+    const auto got = store.get(key, &restamp);
+    ASSERT_TRUE(got.ok()) << got.error().message;
+    EXPECT_EQ(got.value().bytes, want) << "key " << key;
+    EXPECT_EQ(got.value().captured_at, image.captured_at);
+  }
+  // The stored image itself keeps its own tag.
+  EXPECT_EQ(store.get(0).value().bytes, image.bytes);
+
+  auto reader = snapshot::Reader::parse(want);
+  ASSERT_TRUE(reader.ok()) << reader.error().message;
+  snapshot::CaptureTagLayer probe;
+  ASSERT_TRUE(probe.restore(reader.value()).ok());
+  EXPECT_EQ(probe.value().capture_id, 9u);
+  std::remove((config.spill_dir + "/img-6.hwsn").c_str());
+}
+
+TEST_F(ImageStoreTest, RestampWithoutCaptureTagFails) {
+  ImageStore store;
+  ASSERT_TRUE(store.put(0, capture_after(kSecond)).ok());
+  const snapshot::CaptureTag restamp{1, 0, 1};
+  EXPECT_FALSE(store.get(0, &restamp).ok());
+  EXPECT_TRUE(store.get(0).ok());
+}
+
 // ---------------------------------------------------------------------------
 // ResidencyManager policy
 

@@ -56,19 +56,85 @@ TEST(SnapshotCodec, RoundTripMultiChunk) {
   EXPECT_EQ(r.value().find(tag("ZZZZ")), nullptr);
 }
 
+TEST(SnapshotCodec, Crc32KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(std::span<const std::uint8_t>(
+                reinterpret_cast<const std::uint8_t*>(check.data()),
+                check.size())),
+            0xCBF43926u);
+  EXPECT_EQ(crc32(std::span<const std::uint8_t>{}), 0u);
+}
+
+// A small fixed image: four chunks, one of them empty.
+Bytes golden_image() {
+  Writer w;
+  w.begin_chunk(tag("META")).u64(0x0102030405060708ull);
+  w.end_chunk();
+  w.begin_chunk(tag("ZERO"));
+  w.end_chunk();
+  ByteWriter& d = w.begin_chunk(tag("DATA"));
+  put_string(d, "homework");
+  d.u32(0xDEADBEEFu);
+  w.end_chunk();
+  ByteWriter& f = w.begin_chunk(tag("FTAG"));
+  f.u64(7);
+  f.u32(1);
+  f.u32(16);
+  w.end_chunk();
+  return std::move(w).finish();
+}
+
+// The on-disk format, pinned byte for byte: a 16-byte header, then each
+// chunk's 12-byte header and payload.
+const Bytes kGoldenImage = {
+    // 'HWSN', version 1, 4 chunks, 88 payload bytes, payload CRC
+    0x48, 0x57, 0x53, 0x4e, 0x00, 0x01, 0x00, 0x04, 0x00, 0x00, 0x00, 0x58,
+    0x07, 0xea, 0x0d, 0xf8,
+    // META, 8 bytes, CRC, payload
+    0x4d, 0x45, 0x54, 0x41, 0x00, 0x00, 0x00, 0x08, 0x3f, 0xca, 0x88, 0xc5,
+    0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,
+    // ZERO, 0 bytes, CRC 0
+    0x5a, 0x45, 0x52, 0x4f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    // DATA, 16 bytes, CRC, "homework" length-prefixed, 0xdeadbeef
+    0x44, 0x41, 0x54, 0x41, 0x00, 0x00, 0x00, 0x10, 0x47, 0x9c, 0x99, 0x4e,
+    0x00, 0x00, 0x00, 0x08, 0x68, 0x6f, 0x6d, 0x65, 0x77, 0x6f, 0x72, 0x6b,
+    0xde, 0xad, 0xbe, 0xef,
+    // FTAG, 16 bytes, CRC, capture 7, member 1 of 16
+    0x46, 0x54, 0x41, 0x47, 0x00, 0x00, 0x00, 0x10, 0xa8, 0x0d, 0x1f, 0x48,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x01,
+    0x00, 0x00, 0x00, 0x10};
+
+TEST(SnapshotCodec, GoldenBytesMultiChunk) {
+  EXPECT_EQ(golden_image(), kGoldenImage);
+
+  auto r = Reader::parse(kGoldenImage);
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  ASSERT_EQ(r.value().chunk_count(), 4u);
+  Writer again;
+  for (const Chunk& c : r.value().chunks()) {
+    EXPECT_EQ(c.crc, crc32(c.payload));  // the CRC parse verified
+    again.add_chunk(c);
+  }
+  EXPECT_EQ(std::move(again).finish(), kGoldenImage)
+      << "re-emitting verified chunks changed the encoding";
+}
+
 TEST(SnapshotCodec, RejectsEveryTruncation) {
   Writer w;
   w.begin_chunk(tag("DATA")).u64(0x1122334455667788ull);
   w.end_chunk();
-  const Bytes image = std::move(w).finish();
-  for (std::size_t len = 0; len < image.size(); ++len) {
-    const Bytes prefix(image.begin(), image.begin() + static_cast<long>(len));
-    EXPECT_FALSE(Reader::parse(prefix).ok()) << "accepted " << len << " bytes";
+  for (const Bytes& image : {std::move(w).finish(), golden_image()}) {
+    for (std::size_t len = 0; len < image.size(); ++len) {
+      const Bytes prefix(image.begin(),
+                         image.begin() + static_cast<long>(len));
+      EXPECT_FALSE(Reader::parse(prefix).ok())
+          << "accepted " << len << " of " << image.size() << " bytes";
+    }
+    // Trailing garbage is a torn image too, not padding.
+    Bytes padded = image;
+    padded.push_back(0);
+    EXPECT_FALSE(Reader::parse(padded).ok());
   }
-  // Trailing garbage is a torn image too, not padding.
-  Bytes padded = image;
-  padded.push_back(0);
-  EXPECT_FALSE(Reader::parse(padded).ok());
 }
 
 TEST(SnapshotCodec, RejectsEverySingleByteFlip) {
@@ -78,11 +144,13 @@ TEST(SnapshotCodec, RejectsEverySingleByteFlip) {
   w.end_chunk();
   w.begin_chunk(tag("MORE")).u32(12345);
   w.end_chunk();
-  const Bytes image = std::move(w).finish();
-  for (std::size_t i = 0; i < image.size(); ++i) {
-    Bytes bad = image;
-    bad[i] ^= 0x01;
-    EXPECT_FALSE(Reader::parse(bad).ok()) << "accepted flip at offset " << i;
+  for (const Bytes& image : {std::move(w).finish(), golden_image()}) {
+    for (std::size_t i = 0; i < image.size(); ++i) {
+      Bytes bad = image;
+      bad[i] ^= 0x01;
+      EXPECT_FALSE(Reader::parse(bad).ok())
+          << "accepted flip at offset " << i << " of " << image.size();
+    }
   }
 }
 
