@@ -134,7 +134,7 @@ int main() {
   residency_policy.max_resident = 1;
   residency::ResidencyManager residency(residency_policy);
   residency.reset(1, router.loop().now());
-  (void)image_store.put(0, router.snapshots().capture());
+  (void)image_store.put(0, *router.snapshots().capture());
   residency.on_hibernated(0, router.loop().now(),
                           residency::ResidencyManager::kNever);
   residency.on_resumed(0, router.loop().now(), 0);

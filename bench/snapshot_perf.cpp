@@ -151,14 +151,14 @@ int main(int argc, char** argv) {
     rung.hwdb_rows = home.router.db().table("BenchRows")->size();
 
     // Capture: best of `reps` (the image is identical each time).
-    snapshot::SnapshotImage image;
+    std::shared_ptr<const snapshot::SnapshotImage> image;
     for (std::size_t r = 0; r < reps; ++r) {
       const auto t0 = std::chrono::steady_clock::now();
       image = snaps.capture();
       const double us = us_since(t0);
       if (r == 0 || us < rung.capture_us) rung.capture_us = us;
     }
-    rung.image_bytes = image.bytes.size();
+    rung.image_bytes = image->bytes.size();
 
     // Restore into freshly booted homes.
     for (std::size_t r = 0; r < reps; ++r) {
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
       homework::HomeworkRouter router2(loop2, rng2, BenchHome::config(), reg2);
       router2.start();
       const auto t0 = std::chrono::steady_clock::now();
-      if (!router2.snapshots().restore(image).ok()) {
+      if (!router2.snapshots().restore(*image).ok()) {
         std::fprintf(stderr, "restore failed at size %s\n", spec.label);
         return 1;
       }

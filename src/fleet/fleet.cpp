@@ -102,18 +102,18 @@ HomeResult FleetRunner::run_home(std::size_t home_id) const {
   // is then torn down completely (worker "crash") and a second life resumes
   // from the last captured image. A kill before the first checkpoint simply
   // reruns the home from scratch.
-  std::optional<snapshot::SnapshotImage> checkpoint;
+  std::shared_ptr<const snapshot::SnapshotImage> checkpoint;
   (void)run_life(home_id, seed, nullptr, config_.kill_at, &checkpoint);
   if (!checkpoint) {
     return run_life(home_id, seed, nullptr, config_.duration, nullptr);
   }
-  return run_life(home_id, seed, &*checkpoint, config_.duration, nullptr);
+  return run_life(home_id, seed, checkpoint.get(), config_.duration, nullptr);
 }
 
 HomeResult FleetRunner::run_life(
     std::size_t home_id, std::uint64_t seed,
     const snapshot::SnapshotImage* resume, Timestamp end_at,
-    std::optional<snapshot::SnapshotImage>* checkpoint_out) const {
+    std::shared_ptr<const snapshot::SnapshotImage>* checkpoint_out) const {
   const auto wall_start = std::chrono::steady_clock::now();
 
   // The home's own registry, installed for the home's entire lifetime so

@@ -179,12 +179,12 @@ class FleetRunner {
   /// One life of a home: fresh from t=0 when `resume` is null, or restored
   /// from `resume` (loop origin = captured_at - kBootSettle, boot, restore,
   /// re-arm phase-aligned driver timers). Runs to `end_at` and harvests.
-  /// When `checkpoint_out` is non-null the coordinator's last image (if any)
-  /// is copied out for the next life.
+  /// When `checkpoint_out` is non-null it receives the coordinator's last
+  /// image (null if none) for the next life.
   [[nodiscard]] HomeResult run_life(
       std::size_t home_id, std::uint64_t seed,
       const snapshot::SnapshotImage* resume, Timestamp end_at,
-      std::optional<snapshot::SnapshotImage>* checkpoint_out) const;
+      std::shared_ptr<const snapshot::SnapshotImage>* checkpoint_out) const;
 
   FleetConfig config_;
   std::shared_ptr<const residency::FleetProfile> profile_;

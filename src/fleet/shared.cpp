@@ -1,7 +1,6 @@
 #include "fleet/shared.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <chrono>
 #include <deque>
 #include <memory>
@@ -71,25 +70,17 @@ SharedFleetRunner::ShardOutcome SharedFleetRunner::run_shard(
   controller.add_component(std::make_unique<homework::Forwarding>(
       homework::Forwarding::Config{}, devices, policy));
 
-  // Goal-state mode: one reconciler per shard, converging each of the
-  // shard's dpids independently against the shared DesiredStore.
-  std::unique_ptr<reconcile::DesiredStore> desired;
-  reconcile::Reconciler* reconciler = nullptr;
-  if (config_.reconcile) {
-    desired = std::make_unique<reconcile::DesiredStore>();
-    auto rec = std::make_unique<reconcile::Reconciler>(*desired, registry);
-    reconciler = rec.get();
-    controller.add_component(std::move(rec));
-    reconciler->bind_policy(policy);
-    controller.set_resync_hook([reconciler](nox::DatapathId dpid, bool resync) {
-      reconciler->on_datapath_ready(dpid, resync);
-    });
-    reconcile::DesiredStore* store = desired.get();
-    dhcp->set_allocation_observer([store](nox::DatapathId dpid, MacAddress mac,
-                                          std::optional<Ipv4Address> ip) {
-      store->state(dpid).device(mac.to_string()).lease_ip = ip;
-    });
-  }
+  // One reconciler per shard, converging each of the shard's dpids
+  // independently against the shared DesiredStore.
+  reconcile::DesiredStore desired;
+  auto rec = std::make_unique<reconcile::Reconciler>(desired, registry);
+  reconcile::Reconciler* reconciler = rec.get();
+  controller.add_component(std::move(rec));
+  reconciler->bind_policy(policy);
+  dhcp->set_allocation_observer([&desired](nox::DatapathId dpid, MacAddress mac,
+                                           std::optional<Ipv4Address> ip) {
+    desired.state(dpid).device(mac.to_string()).lease_ip = ip;
+  });
   controller.start();
 
   struct Device {
@@ -204,8 +195,8 @@ SharedFleetRunner::ShardOutcome SharedFleetRunner::run_shard(
   // Divergence workload: odd homes cold-restart mid-run — the restart drops
   // the table and re-handshakes, so their re-sync must rebuild everything.
   // Even homes get an admin-triggered re-sync with their table fully intact
-  // — zero actual divergence, the case where a delta-based re-sync sends
-  // nothing while a blind replay re-sends every module flow.
+  // — zero actual divergence, so the re-sync's reconcile round sends
+  // nothing.
   if (config_.restart_odd_homes) {
     for (Home& home : homes) {
       if (home.home_id % 2 == 1) {
@@ -284,20 +275,9 @@ SharedFleetRunner::ShardOutcome SharedFleetRunner::run_shard(
         it != rebind_by_home.end()) {
       status.roam_rebind_us = it->second;
     }
-    if (reconciler != nullptr) {
-      status.converged =
-          reconciler->verify_converged(home.dpid, home.datapath->table());
-    }
+    status.converged =
+        reconciler->verify_converged(home.dpid, home.datapath->table());
     if (config_.collect_state) {
-      home.datapath->table().for_each([&](const ofp::FlowEntry& e) {
-        char cookie[20];
-        std::snprintf(cookie, sizeof cookie, "%016llx",
-                      static_cast<unsigned long long>(e.cookie));
-        status.flow_rows.push_back(e.match.to_string() + "|" +
-                                   std::to_string(e.priority) + "|" +
-                                   ofp::to_string(e.actions) + "|" + cookie);
-      });
-      std::sort(status.flow_rows.begin(), status.flow_rows.end());
       for (const auto* rec : devices.all(home.dpid)) {
         if (!rec->lease) continue;
         status.leases.push_back(rec->mac.to_string() + "|" +

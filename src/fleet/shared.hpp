@@ -53,16 +53,12 @@ struct SharedFleetConfig {
   /// After binding, devices exchange UDP with a peer in their own home,
   /// driving proxy-ARP and flow setup through the shared controller.
   bool traffic = true;
-  /// Per-dpid goal-state reconciliation: each shard runs a Reconciler and
-  /// (re)joins converge through delta rounds instead of flow-setup replay.
-  bool reconcile = true;
   /// Divergence workload at `restart_at`: every odd home's datapath
   /// cold-restarts (full divergence — the table is wiped) and every even
   /// home gets an admin re-sync over its intact table (zero divergence).
   bool restart_odd_homes = false;
   Duration restart_at = 3200 * kMillisecond;
-  /// Harvest per-home flow rows and leases into SharedHomeStatus (for
-  /// differential replay-vs-reconcile comparisons; off by default — the
+  /// Harvest per-home leases into SharedHomeStatus (off by default — the
   /// strings are not part of the fingerprint).
   bool collect_state = false;
   /// Roaming workload: homes are scheduled in PAIRS (2p, 2p+1) on one shard
@@ -86,11 +82,9 @@ struct SharedHomeStatus {
   std::size_t flow_entries = 0;   // datapath flow-table size at end of run
   bool all_bound = false;
   /// Post-run goal-state check: desired state diffed against the home's
-  /// final table yields an empty delta. Always true when reconcile is off.
-  bool converged = true;
-  /// Canonical "match|priority|actions|cookie" rows and "mac|ip" leases
-  /// (sorted); only populated when collect_state is set.
-  std::vector<std::string> flow_rows;
+  /// final table yields an empty delta.
+  bool converged = false;
+  /// "mac|ip" leases (sorted); only populated when collect_state is set.
   std::vector<std::string> leases;
   /// Roam mode: virtual µs from roam_at until the roamer re-bound INTO this
   /// home (0 for homes that received no roamer).

@@ -7,18 +7,18 @@
 namespace hw::homework {
 
 ControlApi::ControlApi(DeviceRegistry& registry, policy::PolicyEngine& policy,
-                       hwdb::Database& db)
-    : Component(kName), registry_(registry), policy_(policy), db_(db) {
+                       hwdb::Database& db, reconcile::DesiredStore& desired,
+                       std::function<void(nox::DatapathId)> desired_changed)
+    : Component(kName),
+      registry_(registry),
+      policy_(policy),
+      db_(db),
+      desired_(desired),
+      desired_changed_(std::move(desired_changed)) {
   setup_routes();
 }
 
 void ControlApi::install(nox::Controller& ctl) { Component::install(ctl); }
-
-void ControlApi::bind_goal_state(reconcile::DesiredStore& store,
-                                 std::function<void(nox::DatapathId)> changed) {
-  desired_ = &store;
-  desired_changed_ = std::move(changed);
-}
 
 HttpResponse ControlApi::handle(const HttpRequest& req) {
   metrics_.requests.inc();
@@ -173,12 +173,12 @@ void ControlApi::setup_routes() {
     if (state == DeviceState::Permitted) metrics_.permits.inc();
     if (state == DeviceState::Denied) metrics_.denies.inc();
     const DeviceRecord* rec = registry_.find(mac.value());
-    if (desired_ != nullptr && rec != nullptr) {
-      auto& intent = desired_->state(rec->dpid).device(rec->mac.to_string());
+    if (rec != nullptr) {
+      auto& intent = desired_.state(rec->dpid).device(rec->mac.to_string());
       intent.admission = state == DeviceState::Permitted
                              ? reconcile::DeviceIntent::Admission::Permitted
                              : reconcile::DeviceIntent::Admission::Denied;
-      if (desired_changed_) desired_changed_(rec->dpid);
+      desired_changed_(rec->dpid);
     }
     return HttpResponse::json(device_json(*rec));
   };
@@ -210,13 +210,11 @@ void ControlApi::setup_routes() {
           for (const auto& t : j["tags"].as_array()) {
             if (t.is_string()) tags.push_back(t.as_string());
           }
-          if (desired_ != nullptr) {
-            const DeviceRecord* rec = registry_.find(mac.value());
-            const nox::DatapathId dpid =
-                rec != nullptr ? rec->dpid : registry_.default_dpid();
-            desired_->state(dpid).device(mac.value().to_string()).tags = tags;
-            if (desired_changed_) desired_changed_(dpid);
-          }
+          const DeviceRecord* rec = registry_.find(mac.value());
+          const nox::DatapathId dpid =
+              rec != nullptr ? rec->dpid : registry_.default_dpid();
+          desired_.state(dpid).device(mac.value().to_string()).tags = tags;
+          desired_changed_(dpid);
           policy_.set_tags(mac.value().to_string(), std::move(tags));
         }
         const DeviceRecord* rec = registry_.find(mac.value());

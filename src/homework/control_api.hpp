@@ -46,18 +46,16 @@ class ControlApi final : public nox::Component {
  public:
   static constexpr const char* kName = "control-api";
 
+  /// Admission decisions and device metadata writes mutate the device's
+  /// DeviceIntent in `desired` alongside the registry (the registry write
+  /// stays immediate; the intent makes it durable and reconcilable).
+  /// `desired_changed` fires with the device's dpid after each write so the
+  /// caller can schedule a reconcile round.
   ControlApi(DeviceRegistry& registry, policy::PolicyEngine& policy,
-             hwdb::Database& db);
+             hwdb::Database& db, reconcile::DesiredStore& desired,
+             std::function<void(nox::DatapathId)> desired_changed);
 
   void install(nox::Controller& ctl) override;
-
-  /// Binds the goal-state store: admission decisions and device metadata
-  /// writes then mutate the device's DeviceIntent alongside the registry
-  /// (the registry write stays immediate; the intent makes it durable and
-  /// reconcilable). `changed` fires with the device's dpid after each write
-  /// so the caller can schedule a reconcile round.
-  void bind_goal_state(reconcile::DesiredStore& store,
-                       std::function<void(nox::DatapathId)> changed);
 
   /// Serves one HTTP request (the in-home interfaces and tests call this;
   /// a socket front-end would parse/serialize around it).
@@ -82,7 +80,7 @@ class ControlApi final : public nox::Component {
   DeviceRegistry& registry_;
   policy::PolicyEngine& policy_;
   hwdb::Database& db_;
-  reconcile::DesiredStore* desired_ = nullptr;
+  reconcile::DesiredStore& desired_;
   std::function<void(nox::DatapathId)> desired_changed_;
   HttpRouter router_;
   struct Instruments {

@@ -271,8 +271,8 @@ bool DhcpServer::adopt_allocation(nox::DatapathId dpid, MacAddress mac,
 
 namespace {
 constexpr std::uint32_t kDhcpTag = snapshot::tag("DHCP");
-/// v3 format marker: the first u32 of a v2 image is the scope count, which
-/// can never be 0xFFFFFFFF, so the sentinel disambiguates the formats.
+/// Leads every chunk, ahead of the version. Chunks without it (the
+/// pre-versioned v2 layout, which led with the scope count) are rejected.
 constexpr std::uint32_t kDhcpVersionSentinel = 0xFFFFFFFFu;
 constexpr std::uint32_t kDhcpVersion = 3;
 }  // namespace
@@ -300,23 +300,20 @@ Status DhcpServer::restore(const snapshot::Reader& r) {
   const Bytes* chunk = r.find(kDhcpTag);
   if (chunk == nullptr) return Status::success();
   ByteReader br(*chunk);
-  auto first = br.u32();
-  if (!first) return first.error();
-  std::uint32_t version = 2;  // legacy images lead straight with nscopes
-  std::uint32_t nscopes = first.value();
-  if (first.value() == kDhcpVersionSentinel) {
-    auto ver = br.u32();
-    if (!ver) return ver.error();
-    if (ver.value() != kDhcpVersion) {
-      return make_error("dhcp snapshot: unsupported version");
-    }
-    version = ver.value();
-    auto n = br.u32();
-    if (!n) return n.error();
-    nscopes = n.value();
+  auto sentinel = br.u32();
+  if (!sentinel) return sentinel.error();
+  if (sentinel.value() != kDhcpVersionSentinel) {
+    return make_error("dhcp snapshot: missing version sentinel");
   }
+  auto ver = br.u32();
+  if (!ver) return ver.error();
+  if (ver.value() != kDhcpVersion) {
+    return make_error("dhcp snapshot: unsupported version");
+  }
+  auto nscopes = br.u32();
+  if (!nscopes) return nscopes.error();
   std::map<nox::DatapathId, Scope> scopes;
-  for (std::uint32_t s = 0; s < nscopes; ++s) {
+  for (std::uint32_t s = 0; s < nscopes.value(); ++s) {
     auto dpid = br.u64();
     auto nalloc = br.u32();
     if (!dpid || !nalloc) return make_error("dhcp snapshot: truncated scope");
@@ -325,12 +322,9 @@ Status DhcpServer::restore(const snapshot::Reader& r) {
       auto mac = snapshot::get_mac(br);
       auto ip = snapshot::get_ip(br);
       if (!mac || !ip) return make_error("dhcp snapshot: truncated allocation");
-      Binding binding{ip.value(), 0};
-      if (version >= 3) {
-        auto offered = br.u64();
-        if (!offered) return make_error("dhcp snapshot: truncated offer time");
-        binding.offered_at = static_cast<Timestamp>(offered.value());
-      }
+      auto offered = br.u64();
+      if (!offered) return make_error("dhcp snapshot: truncated offer time");
+      const Binding binding{ip.value(), static_cast<Timestamp>(offered.value())};
       scope.in_use.insert(binding.ip);
       scope.allocations.emplace(mac.value(), binding);
     }

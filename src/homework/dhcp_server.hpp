@@ -110,8 +110,8 @@ class DhcpServer final : public nox::Component, public snapshot::Snapshottable {
   // -- Snapshottable ('DHCP' chunk, v3: offer timestamps) ---------------------
   // Captures each home's allocation map (with offer timestamps), and the
   // declined-address set; lease expiry deadlines live in DeviceRegistry
-  // records and are restored there. v2 images (no version sentinel, no
-  // offer timestamps) still decode — their allocations restore as sticky.
+  // records and are restored there. A chunk without the version sentinel
+  // (the pre-versioned v2 layout) is rejected and leaves the state alone.
   void save(snapshot::Writer& w) const override;
   Status restore(const snapshot::Reader& r) override;
 

@@ -122,7 +122,13 @@ HomeworkRouter::HomeworkRouter(sim::EventLoop& loop, Rng& rng, Config config,
       std::make_unique<MetricsExport>(config_.metrics_export, *db_, metrics_);
   metrics_export_ = metrics_export.get();
 
-  auto api = std::make_unique<ControlApi>(*registry_, *policy_, *db_);
+  // Goal state: the control API writes admission/metadata intents into it,
+  // the DHCP allocator writes scope bindings, and the reconciler converges
+  // every (re)joining datapath onto it.
+  desired_ = std::make_unique<reconcile::DesiredStore>();
+  auto api = std::make_unique<ControlApi>(
+      *registry_, *policy_, *db_, *desired_,
+      [this](nox::DatapathId dpid) { reconciler_->request_round(dpid); });
   control_api_ = api.get();
 
   // Registration order fixes the packet-in chain: DHCP and DNS interceptors
@@ -138,89 +144,77 @@ HomeworkRouter::HomeworkRouter(sim::EventLoop& loop, Rng& rng, Config config,
   controller_->add_component(std::move(liveness));
 
   // Recovery loop: once the watchdog hears a previously-dead datapath again
-  // (channel restored), the controller re-syncs it — via the reconciler in
-  // Reconcile mode, via full flow-setup replay in Replay mode.
+  // (channel restored), the controller re-syncs it through the reconciler.
   liveness_->on_recovered(
       [this](nox::DatapathId dpid) { controller_->resync_datapath(dpid); });
 
-  if (config_.resync == Config::Resync::Reconcile) {
-    desired_ = std::make_unique<reconcile::DesiredStore>();
-    auto rec = std::make_unique<reconcile::Reconciler>(*desired_, metrics_);
-    reconciler_ = rec.get();
-    controller_->add_component(std::move(rec));
-    reconciler_->bind_policy(*policy_);
-    controller_->set_resync_hook([this](nox::DatapathId dpid, bool resync) {
-      reconciler_->on_datapath_ready(dpid, resync);
-    });
+  auto rec = std::make_unique<reconcile::Reconciler>(*desired_, metrics_);
+  reconciler_ = rec.get();
+  controller_->add_component(std::move(rec));
+  reconciler_->bind_policy(*policy_);
 
-    // State fixups: each heals one divergence class between desired state
-    // and the controller-side stores, reporting whether anything changed.
-    reconcile::Reconciler::Hooks hooks;
-    hooks.apply_admission = [this](nox::DatapathId dpid,
-                                   const std::string& mac_text,
-                                   reconcile::DeviceIntent::Admission want) {
-      auto mac = MacAddress::parse(mac_text);
-      if (!mac) return false;
-      const DeviceState want_state =
-          want == reconcile::DeviceIntent::Admission::Permitted
-              ? DeviceState::Permitted
-              : DeviceState::Denied;
-      const DeviceRecord* rec = registry_->find(dpid, mac.value());
-      if (rec != nullptr && rec->state == want_state) return false;
-      return registry_->set_state(dpid, mac.value(), want_state, loop_.now());
-    };
-    hooks.adopt_lease = [this](nox::DatapathId dpid,
-                               const std::string& mac_text, Ipv4Address ip) {
-      auto mac = MacAddress::parse(mac_text);
-      if (!mac) return false;
-      bool changed = dhcp_->adopt_allocation(dpid, mac.value(), ip);
-      const DeviceRecord* rec = registry_->find(dpid, mac.value());
-      if (rec == nullptr || !rec->lease || rec->lease->ip != ip) {
-        Lease lease;
-        lease.ip = ip;
-        lease.granted_at = loop_.now();
-        lease.expires_at =
-            loop_.now() + static_cast<Duration>(config_.lease_secs) * kSecond;
-        if (rec != nullptr && rec->lease) lease.hostname = rec->lease->hostname;
-        registry_->record_lease(dpid, mac.value(), lease,
-                                rec != nullptr && rec->lease.has_value(),
-                                loop_.now());
-        changed = true;
-      }
-      return changed;
-    };
-    hooks.apply_qos = [this](nox::DatapathId dpid, const std::string& mac_text,
-                             std::uint64_t rate_bps) {
-      const std::string key = std::to_string(dpid) + "|" + mac_text;
-      auto it = applied_qos_.find(key);
-      const std::uint64_t current = it == applied_qos_.end() ? 0 : it->second;
-      if (current == rate_bps) return false;
-      if (rate_bps == 0) {
-        applied_qos_.erase(key);
-        return false;  // queue falls out of use; nothing to reconfigure
-      }
-      auto mac = MacAddress::parse(mac_text);
-      if (!mac) return false;
-      const DeviceRecord* rec = registry_->find(dpid, mac.value());
-      if (rec == nullptr || !rec->lease) return false;
-      const std::uint32_t queue_id = rec->lease->ip.value() & 0xffff;
-      const std::uint64_t burst = std::max<std::uint64_t>(rate_bps / 8 / 4, 3036);
-      datapath_->configure_queue(config_.uplink_port, queue_id, rate_bps, burst);
-      applied_qos_[key] = rate_bps;
-      return true;
-    };
-    reconciler_->set_hooks(std::move(hooks));
+  // State fixups: each heals one divergence class between desired state
+  // and the controller-side stores, reporting whether anything changed.
+  reconcile::Reconciler::Hooks hooks;
+  hooks.apply_admission = [this](nox::DatapathId dpid,
+                                 const std::string& mac_text,
+                                 reconcile::DeviceIntent::Admission want) {
+    auto mac = MacAddress::parse(mac_text);
+    if (!mac) return false;
+    const DeviceState want_state =
+        want == reconcile::DeviceIntent::Admission::Permitted
+            ? DeviceState::Permitted
+            : DeviceState::Denied;
+    const DeviceRecord* rec = registry_->find(dpid, mac.value());
+    if (rec != nullptr && rec->state == want_state) return false;
+    return registry_->set_state(dpid, mac.value(), want_state, loop_.now());
+  };
+  hooks.adopt_lease = [this](nox::DatapathId dpid, const std::string& mac_text,
+                             Ipv4Address ip) {
+    auto mac = MacAddress::parse(mac_text);
+    if (!mac) return false;
+    bool changed = dhcp_->adopt_allocation(dpid, mac.value(), ip);
+    const DeviceRecord* rec = registry_->find(dpid, mac.value());
+    if (rec == nullptr || !rec->lease || rec->lease->ip != ip) {
+      Lease lease;
+      lease.ip = ip;
+      lease.granted_at = loop_.now();
+      lease.expires_at =
+          loop_.now() + static_cast<Duration>(config_.lease_secs) * kSecond;
+      if (rec != nullptr && rec->lease) lease.hostname = rec->lease->hostname;
+      registry_->record_lease(dpid, mac.value(), lease,
+                              rec != nullptr && rec->lease.has_value(),
+                              loop_.now());
+      changed = true;
+    }
+    return changed;
+  };
+  hooks.apply_qos = [this](nox::DatapathId dpid, const std::string& mac_text,
+                           std::uint64_t rate_bps) {
+    const std::string key = std::to_string(dpid) + "|" + mac_text;
+    auto it = applied_qos_.find(key);
+    const std::uint64_t current = it == applied_qos_.end() ? 0 : it->second;
+    if (current == rate_bps) return false;
+    if (rate_bps == 0) {
+      applied_qos_.erase(key);
+      return false;  // queue falls out of use; nothing to reconfigure
+    }
+    auto mac = MacAddress::parse(mac_text);
+    if (!mac) return false;
+    const DeviceRecord* rec = registry_->find(dpid, mac.value());
+    if (rec == nullptr || !rec->lease) return false;
+    const std::uint32_t queue_id = rec->lease->ip.value() & 0xffff;
+    const std::uint64_t burst = std::max<std::uint64_t>(rate_bps / 8 / 4, 3036);
+    datapath_->configure_queue(config_.uplink_port, queue_id, rate_bps, burst);
+    applied_qos_[key] = rate_bps;
+    return true;
+  };
+  reconciler_->set_hooks(std::move(hooks));
 
-    // Imperative writers feed the goal state: admission/metadata via the
-    // control API, scope bindings via the DHCP allocator.
-    control_api_->bind_goal_state(*desired_, [this](nox::DatapathId dpid) {
-      reconciler_->request_round(dpid);
-    });
-    dhcp_->set_allocation_observer([this](nox::DatapathId dpid, MacAddress mac,
-                                          std::optional<Ipv4Address> ip) {
-      desired_->state(dpid).device(mac.to_string()).lease_ip = ip;
-    });
-  }
+  dhcp_->set_allocation_observer([this](nox::DatapathId dpid, MacAddress mac,
+                                        std::optional<Ipv4Address> ip) {
+    desired_->state(dpid).device(mac.to_string()).lease_ip = ip;
+  });
 
   // Uplink port towards the ISP (Figure 5's "upstream" path), optionally
   // with pcap capture shims on both directions.
@@ -248,7 +242,7 @@ HomeworkRouter::HomeworkRouter(sim::EventLoop& loop, Rng& rng, Config config,
   snapshots_->add_layer("dhcp", dhcp_);
   snapshots_->add_layer("registry", registry_.get());
   snapshots_->add_layer("policy", policy_.get());
-  if (desired_ != nullptr) snapshots_->add_layer("desired", desired_.get());
+  snapshots_->add_layer("desired", desired_.get());
 }
 
 HomeworkRouter::~HomeworkRouter() = default;

@@ -81,12 +81,6 @@ class HomeworkRouter {
     /// framer to reassemble messages from partial reads.
     std::size_t channel_mtu = 0;
     std::uint16_t uplink_port = 1;
-    /// How (re)joining datapaths get their flow setup. Replay blindly
-    /// re-sends every module's flows (the legacy resync). Reconcile runs the
-    /// goal-state reconciler: desired state is diffed against a flow-stats
-    /// readback and only the delta is sent.
-    enum class Resync { Replay, Reconcile };
-    Resync resync = Resync::Reconcile;
     /// Records every frame crossing the uplink into uplink_trace(), from
     /// which sim::write_pcap produces a tcpdump-compatible capture.
     bool capture_uplink = false;
@@ -145,11 +139,11 @@ class HomeworkRouter {
   [[nodiscard]] EventExport& event_export() { return *export_; }
   [[nodiscard]] MetricsExport& metrics_export() { return *metrics_export_; }
   [[nodiscard]] ControlApi& control_api() { return *control_api_; }
-  /// Goal-state store backing the reconciler; null in Replay mode.
+  /// Goal-state store backing the reconciler; never null.
   [[nodiscard]] reconcile::DesiredStore* desired_store() {
     return desired_.get();
   }
-  /// The reconciler component; null in Replay mode.
+  /// The reconciler component that heals every (re)join; never null.
   [[nodiscard]] reconcile::Reconciler* reconciler() { return reconciler_; }
   [[nodiscard]] telemetry::MetricRegistry& metrics() { return metrics_; }
   [[nodiscard]] const Config& config() const { return config_; }
@@ -159,7 +153,7 @@ class HomeworkRouter {
 
   /// Checkpoint/restore coordinator with the router's state layers
   /// pre-registered ("flow-table", "hwdb", "dhcp", "registry", "policy",
-  /// and — in Reconcile mode — "desired").
+  /// "desired").
   /// Callers append their own layers (RNG streams, telemetry — telemetry
   /// last) before capturing or restoring.
   [[nodiscard]] snapshot::SnapshotCoordinator& snapshots() { return *snapshots_; }
@@ -167,9 +161,8 @@ class HomeworkRouter {
   /// Restarts the datapath and restores its flow table from the last
   /// captured snapshot instead of cold-wiping; falls back to a cold restart
   /// when no snapshot exists. The controller's liveness resync then heals the
-  /// table: in Reconcile mode one reconcile round reads the restored table
-  /// back and sends only the delta; in Replay mode the legacy path re-sends
-  /// every module's (idempotent) flow setup.
+  /// table: one reconcile round reads the restored table back and sends only
+  /// the delta.
   Status warm_restart();
 
   /// Registers the router's fault surfaces with a chaos injector: the

@@ -122,7 +122,7 @@ struct LiveFleet::Home {
   };
   std::optional<Gauges> gauges;
 
-  std::optional<snapshot::SnapshotImage> capture_out;
+  std::shared_ptr<const snapshot::SnapshotImage> capture_out;
 };
 
 LiveFleet::LiveFleet(LiveConfig config, telemetry::MetricRegistry& metrics)
@@ -683,7 +683,7 @@ Timestamp LiveFleet::step() {
     });
     for (std::size_t i = 0; i < homes_.size(); ++i) {
       if (homes_[i] != nullptr) {
-        cp.images[i] = std::move(*homes_[i]->capture_out);
+        cp.images[i] = *homes_[i]->capture_out;
         homes_[i]->capture_out.reset();
         continue;
       }
@@ -814,7 +814,7 @@ bool LiveFleet::finish_hibernate(std::size_t id, Timestamp barrier) {
   if (!hstage_[id]) return false;
   HibernateOut out = std::move(*hstage_[id]);
   hstage_[id].reset();
-  if (auto s = store_.put(id, out.image); !s.ok()) {
+  if (auto s = store_.put(id, *out.image); !s.ok()) {
     HW_LOG_ERROR(kLog, "hibernate of home %zu failed to store image: %s", id,
                  s.error().message.c_str());
   }

@@ -219,7 +219,7 @@ class LiveFleet {
   };
   /// Worker -> driving-thread staging for one hibernation.
   struct HibernateOut {
-    snapshot::SnapshotImage image;
+    std::shared_ptr<const snapshot::SnapshotImage> image;
     Frozen frozen;
     Timestamp next_wakeup = residency::ResidencyManager::kNever;
   };

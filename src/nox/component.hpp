@@ -19,9 +19,10 @@ using DatapathId = std::uint64_t;
 
 /// One flow a component wants present in a datapath's table — the unit of
 /// desired state. `key` is the flow's stable identity ("dhcp:intercept",
-/// "policy:block:src:<mac>", …): replay and reconciliation both derive the
-/// flow's cookie from it, so a rule installed by blind replay and the same
-/// rule installed by a reconcile delta are byte-identical on the wire.
+/// "policy:block:src:<mac>", …): a bare controller's replay and the
+/// reconciler both derive the flow's cookie from it, so a rule installed by
+/// replay and the same rule installed by a reconcile delta are
+/// byte-identical on the wire.
 struct FlowIntent {
   std::string key;
   ofp::Match match;
@@ -93,7 +94,7 @@ class Component {
   virtual void install(Controller& ctl) { ctl_ = &ctl; }
 
   /// Declares the flows this component wants present in `dpid`'s table.
-  /// Called by the controller's replay path on every (re)join and by the
+  /// Called by a bare controller's replay path on every (re)join and by the
   /// reconciler when it rebuilds desired state — must be a pure function of
   /// the component's current state (no sends, no mutation).
   virtual void contribute_flows(DatapathId, FlowIntentSink&) {}

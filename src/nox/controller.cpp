@@ -140,11 +140,13 @@ void Controller::handle_message(Connection& conn, const Bytes& encoded) {
             c->handle_datapath_join(m.datapath_id, conn.features);
           }
           if (resync_hook_) {
-            // Goal-state mode: the hook triggers a reconcile round that
-            // reads the table back, applies the minimal delta and (for
-            // resyncs) finishes through confirm_resync().
+            // The hook triggers a reconcile round that reads the table
+            // back, applies the minimal delta and (for resyncs) finishes
+            // through confirm_resync().
             resync_hook_(m.datapath_id, resync);
           } else {
+            // Bare controller (no reconciler): install every component's
+            // flow setup directly.
             replay_flow_setup(m.datapath_id);
             if (resync) {
               // Everything the components and the replay just pushed is the
@@ -301,7 +303,8 @@ void Controller::resync_datapath(DatapathId dpid) {
   }
   metrics_.reconnects.inc();
   // Restart the handshake; the FEATURES_REPLY handler re-announces the join
-  // to every component and re-syncs the table (replay or reconcile round).
+  // to every component and re-syncs the table (reconcile round, or replay
+  // on a bare controller).
   conn->channel->send(ofp::encode({next_xid(), ofp::FeaturesRequest{}}));
 }
 

@@ -90,8 +90,9 @@ class Controller {
   void send_barrier(DatapathId dpid, std::function<void()> cb);
 
   /// Re-synchronizes a datapath after a channel outage or restart: restarts
-  /// the handshake, then on FEATURES_REPLY either replays every component's
-  /// flow setup (legacy path) or hands off to the resync hook (reconciler).
+  /// the handshake, then on FEATURES_REPLY hands off to the resync hook (the
+  /// reconciler) or, on a bare controller without one, replays every
+  /// component's flow setup.
   /// on_resynced (if set) fires once the flows are proven in the table. Also
   /// triggered automatically when an identified datapath re-sends HELLO.
   /// If `dpid` is not currently identified, the request is counted in
@@ -106,8 +107,8 @@ class Controller {
   /// Collects every component's flow contributions for `dpid` into `sink`
   /// (install order — later contributions of the same key win downstream).
   void collect_flow_intents(DatapathId dpid, FlowIntentSink& sink) const;
-  /// Legacy imperative path: wires every contributed flow straight to the
-  /// datapath as an Add (cookie = desired_cookie(key)).
+  /// Bare-controller path (no resync hook): wires every contributed flow
+  /// straight to the datapath as an Add (cookie = desired_cookie(key)).
   void replay_flow_setup(DatapathId dpid);
   /// When set, (re)joins no longer replay flow setup; the hook is invoked
   /// with `resync` true on rejoins/re-armed resyncs and is expected to drive

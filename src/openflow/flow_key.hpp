@@ -99,4 +99,36 @@ struct FlowKeyHash {
   }
 };
 
+/// The identity of a flow-table row as strict FlowMods (ModifyStrict,
+/// DeleteStrict) address it: the wildcard bitmap, the key masked by the
+/// FlowMask that bitmap derives, and the priority. Two rows have equal
+/// identities iff Match::same_pattern() holds and their priorities agree.
+/// The bitmap stands in for its FlowMask because two bitmaps can derive one
+/// mask (every nw prefix count of 32 or more wildcards the field), and
+/// same_pattern — like the table's strict commands — tells them apart.
+struct FlowIdentity {
+  FlowKey masked;
+  std::uint32_t wildcards = 0;
+  std::uint16_t priority = 0;
+
+  static FlowIdentity of(const Match& m, std::uint16_t priority) {
+    return {apply(FlowMask::from_wildcards(m.wildcards), FlowKey::from_match(m)),
+            m.wildcards, priority};
+  }
+
+  [[nodiscard]] std::uint64_t hash() const {
+    std::uint64_t h = masked.hash();
+    h ^= (std::uint64_t{wildcards} << 16) | priority;
+    return h * 0x100000001b3ull;
+  }
+
+  friend bool operator==(const FlowIdentity&, const FlowIdentity&) = default;
+};
+
+struct FlowIdentityHash {
+  std::size_t operator()(const FlowIdentity& id) const noexcept {
+    return static_cast<std::size_t>(id.hash());
+  }
+};
+
 }  // namespace hw::ofp

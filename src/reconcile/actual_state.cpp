@@ -1,41 +1,34 @@
 #include "reconcile/actual_state.hpp"
 
-#include <map>
-
 namespace hw::reconcile {
-
-namespace {
-
-/// Flow identity for delta matching: the serialized match pattern plus the
-/// priority. Serialization canonicalizes wildcarded fields, so two matches
-/// that compare same_pattern() serialize identically.
-std::string flow_identity(const ofp::Match& match, std::uint16_t priority) {
-  ByteWriter w;
-  match.serialize(w);
-  w.u16(priority);
-  const Bytes& b = w.bytes();
-  return std::string(reinterpret_cast<const char*>(b.data()), b.size());
-}
-
-}  // namespace
 
 FlowDelta compute_flow_delta(const DesiredState& desired,
                              const std::vector<ActualFlow>& actual) {
-  FlowDelta delta;
-  std::map<std::string, const ActualFlow*> by_identity;
-  for (const ActualFlow& row : actual) {
-    by_identity[flow_identity(row.match, row.priority)] = &row;
+  // Each row's standing: shadowed by a later row with the same identity,
+  // unclaimed, or claimed by a desired flow.
+  enum : std::uint8_t { kShadowed, kUnclaimed, kClaimed };
+  std::vector<std::uint8_t> standing(actual.size(), kUnclaimed);
+  std::unordered_map<ofp::FlowIdentity, std::size_t, ofp::FlowIdentityHash>
+      by_identity;
+  by_identity.reserve(actual.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    auto [it, inserted] = by_identity.try_emplace(
+        ofp::FlowIdentity::of(actual[i].match, actual[i].priority), i);
+    if (!inserted) {
+      standing[it->second] = kShadowed;
+      it->second = i;
+    }
   }
 
+  FlowDelta delta;
   for (const auto& [key, want] : desired.flows) {
-    const std::string id = flow_identity(want.match, want.priority);
-    auto it = by_identity.find(id);
-    if (it == by_identity.end()) {
+    auto it = by_identity.find(ofp::FlowIdentity::of(want.match, want.priority));
+    if (it == by_identity.end() || standing[it->second] == kClaimed) {
       delta.add.push_back(want);
       continue;
     }
-    const ActualFlow& have = *it->second;
-    by_identity.erase(it);  // claimed
+    const ActualFlow& have = actual[it->second];
+    standing[it->second] = kClaimed;
     const bool timeouts_equal = have.idle_timeout == want.idle_timeout &&
                                 have.hard_timeout == want.hard_timeout;
     const bool payload_equal =
@@ -53,9 +46,9 @@ FlowDelta compute_flow_delta(const DesiredState& desired,
 
   // Whatever desired-owned rows remain unclaimed are stale — reap them.
   // Foreign rows (reactive flows, cookie 0) are outside our namespace.
-  for (const auto& [id, row] : by_identity) {
-    if (nox::is_desired_cookie(row->cookie)) {
-      delta.del.push_back({row->match, row->priority});
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    if (standing[i] == kUnclaimed && nox::is_desired_cookie(actual[i].cookie)) {
+      delta.del.push_back({actual[i].match, actual[i].priority});
     }
   }
   return delta;
@@ -63,38 +56,47 @@ FlowDelta compute_flow_delta(const DesiredState& desired,
 
 void ActualState::refresh(const std::vector<ofp::FlowStatsEntry>& entries) {
   flows_.clear();
+  index_.clear();
   flows_.reserve(entries.size());
+  index_.reserve(entries.size());
   for (const auto& e : entries) {
-    flows_.push_back({e.match, e.priority, e.cookie, e.actions, e.idle_timeout,
-                      e.hard_timeout});
+    upsert({e.match, e.priority, e.cookie, e.actions, e.idle_timeout,
+            e.hard_timeout});
   }
-  fresh_ = true;
+}
+
+void ActualState::upsert(ActualFlow row) {
+  auto [it, inserted] = index_.try_emplace(
+      ofp::FlowIdentity::of(row.match, row.priority), flows_.size());
+  if (inserted) {
+    flows_.push_back(std::move(row));
+  } else {
+    flows_[it->second] = std::move(row);
+  }
 }
 
 void ActualState::note_flow_removed(const ofp::Match& match,
                                     std::uint16_t priority) {
-  std::erase_if(flows_, [&](const ActualFlow& row) {
-    return row.priority == priority && row.match.same_pattern(match);
-  });
+  auto it = index_.find(ofp::FlowIdentity::of(match, priority));
+  if (it == index_.end()) return;
+  // Swap-and-pop keeps removal O(1); the moved row's index follows it.
+  const std::size_t pos = it->second;
+  index_.erase(it);
+  if (pos + 1 != flows_.size()) {
+    flows_[pos] = std::move(flows_.back());
+    index_[ofp::FlowIdentity::of(flows_[pos].match, flows_[pos].priority)] = pos;
+  }
+  flows_.pop_back();
 }
 
 void ActualState::apply(const FlowDelta& delta) {
   for (const Deletion& d : delta.del) note_flow_removed(d.match, d.priority);
-  auto upsert = [&](const DesiredFlow& want) {
-    for (ActualFlow& row : flows_) {
-      if (row.priority == want.priority && row.match.same_pattern(want.match)) {
-        row.actions = want.actions;
-        row.cookie = want.cookie();
-        row.idle_timeout = want.idle_timeout;
-        row.hard_timeout = want.hard_timeout;
-        return;
-      }
-    }
-    flows_.push_back({want.match, want.priority, want.cookie(), want.actions,
-                      want.idle_timeout, want.hard_timeout});
+  const auto upsert_desired = [this](const DesiredFlow& want) {
+    upsert({want.match, want.priority, want.cookie(), want.actions,
+            want.idle_timeout, want.hard_timeout});
   };
-  for (const DesiredFlow& f : delta.add) upsert(f);
-  for (const DesiredFlow& f : delta.modify) upsert(f);
+  for (const DesiredFlow& f : delta.add) upsert_desired(f);
+  for (const DesiredFlow& f : delta.modify) upsert_desired(f);
 }
 
 }  // namespace hw::reconcile

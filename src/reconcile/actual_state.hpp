@@ -6,9 +6,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "openflow/flow_key.hpp"
 #include "openflow/messages.hpp"
 #include "reconcile/desired_state.hpp"
 
@@ -57,7 +58,8 @@ struct FlowDelta {
 };
 
 /// Computes the delta from `actual` to `desired`. Rules:
-///  - identity is (match pattern, priority); rows are matched strictly;
+///  - identity is ofp::FlowIdentity (match pattern, priority); rows are
+///    matched strictly;
 ///  - a matched row equal in actions, cookie and both timeouts is a noop;
 ///  - a matched row differing only in actions/cookie is a ModifyStrict
 ///    (FlowTable's Modify semantics update actions+cookie but never
@@ -67,13 +69,18 @@ struct FlowDelta {
 ///  - an unmatched actual row carrying the desired-state cookie tag is a
 ///    DeleteStrict — but reactive flows (foreign cookies, incl. 0) are never
 ///    touched: the reconciler owns only its own namespace.
+/// Deletions of stale rows follow `actual`'s row order, so the wire order is
+/// deterministic. A table never holds two rows with one identity; should
+/// `actual` do so, the last one stands for the identity.
 [[nodiscard]] FlowDelta compute_flow_delta(const DesiredState& desired,
                                            const std::vector<ActualFlow>& actual);
 
-/// Mirror of one datapath's table between stats refreshes.
+/// Mirror of one datapath's table between stats refreshes, indexed by
+/// ofp::FlowIdentity so a removal or an upsert costs one hash lookup.
 class ActualState {
  public:
-  /// Replaces the mirror with a flow-stats readback.
+  /// Replaces the mirror with a flow-stats readback (rows in readback order;
+  /// a repeated identity keeps its last row).
   void refresh(const std::vector<ofp::FlowStatsEntry>& entries);
   /// Drops the row named by a FLOW_REMOVED (timeout/eviction between rounds).
   void note_flow_removed(const ofp::Match& match, std::uint16_t priority);
@@ -82,12 +89,15 @@ class ActualState {
   void apply(const FlowDelta& delta);
 
   [[nodiscard]] const std::vector<ActualFlow>& flows() const { return flows_; }
-  [[nodiscard]] bool fresh() const { return fresh_; }
-  void invalidate() { fresh_ = false; }
 
  private:
+  /// Inserts `row`, or overwrites the row with its identity in place.
+  void upsert(ActualFlow row);
+
   std::vector<ActualFlow> flows_;
-  bool fresh_ = false;
+  /// Identity -> position in flows_.
+  std::unordered_map<ofp::FlowIdentity, std::size_t, ofp::FlowIdentityHash>
+      index_;
 };
 
 }  // namespace hw::reconcile

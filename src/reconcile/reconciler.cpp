@@ -77,6 +77,9 @@ void Reconciler::bind_policy(policy::PolicyEngine& engine) {
 void Reconciler::install(nox::Controller& ctl) {
   Component::install(ctl);
   installed_ = true;
+  ctl.set_resync_hook([this](nox::DatapathId dpid, bool resync) {
+    request_round(dpid, resync);
+  });
 }
 
 void Reconciler::request_round(nox::DatapathId dpid, bool resync) {
@@ -284,7 +287,6 @@ void Reconciler::handle_datapath_leave(nox::DatapathId dpid) {
   if (it == per_dp_.end()) return;
   ++it->second.generation;
   it->second.in_flight = false;
-  it->second.actual.invalidate();
 }
 
 void Reconciler::handle_flow_removed(nox::DatapathId dpid,

@@ -2,8 +2,9 @@
 // and controller-side state onto the DesiredStore's goal state. A round is
 // rebuild (component contributions + compiled policy) → state fixups →
 // flow-stats readback → minimal idempotent delta → barrier confirmation.
-// Replaces the blind replay-resync: recovery from any divergence costs one
-// round and only the FlowMods that divergence actually requires.
+// It is the one recovery path of every HomeworkRouter and shared-fleet shard:
+// recovery from any divergence costs one round and only the FlowMods that
+// divergence actually requires.
 #pragma once
 
 #include <chrono>
@@ -77,11 +78,6 @@ class Reconciler final : public nox::Component {
   /// Controller::confirm_resync.
   void request_round(nox::DatapathId dpid, bool resync = false);
 
-  /// Wire this to Controller::set_resync_hook.
-  void on_datapath_ready(nox::DatapathId dpid, bool resync) {
-    request_round(dpid, resync);
-  }
-
   /// Synchronous convergence check against a live table (tests / fleet
   /// post-run verification): rebuilds desired state and diffs it against
   /// `table` without touching the datapath.
@@ -91,6 +87,8 @@ class Reconciler final : public nox::Component {
   [[nodiscard]] const RoundReport* last_report(nox::DatapathId dpid) const;
 
   // -- Component ---------------------------------------------------------------
+  /// Also claims the controller's resync hook: from then on every datapath
+  /// (re)join runs a reconcile round instead of a flow-setup replay.
   void install(nox::Controller& ctl) override;
   void handle_datapath_leave(nox::DatapathId dpid) override;
   void handle_flow_removed(nox::DatapathId dpid,

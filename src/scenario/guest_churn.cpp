@@ -181,11 +181,9 @@ void GuestChurnScenario::verify(Report& report) {
              std::to_string(quarantine_dropped_packets_) + " left=" +
              std::to_string(block_flows_left));
 
-  auto* reconciler = router().reconciler();
   const auto& dp = router().datapath();
   expect(report, "reconcile-converges-after-churn",
-         reconciler != nullptr &&
-             reconciler->verify_converged(dp.id(), dp.table()));
+         router().reconciler()->verify_converged(dp.id(), dp.table()));
 }
 
 }  // namespace hw::scenario

@@ -102,11 +102,9 @@ void IotSwarmScenario::verify(Report& report) {
              std::to_string(capacity) +
              " table_full=" + std::to_string(table.table_full));
 
-  auto* reconciler = router().reconciler();
   const auto& dpath = router().datapath();
   expect(report, "reconcile-converges-at-scale",
-         reconciler != nullptr &&
-             reconciler->verify_converged(dpath.id(), dpath.table()));
+         router().reconciler()->verify_converged(dpath.id(), dpath.table()));
 }
 
 }  // namespace hw::scenario

@@ -142,11 +142,8 @@ void TableExhaustionScenario::verify(Report& report) {
          dpstats.microflow_hits > 0 && dpstats.microflow_invalidations > 0,
          "hits=" + std::to_string(dpstats.microflow_hits) + " invalidations=" +
              std::to_string(dpstats.microflow_invalidations));
-  auto* reconciler = router().reconciler();
-  const bool converged =
-      reconciler != nullptr &&
-      reconciler->verify_converged(dp.id(), dp.table());
-  expect(report, "reconcile-converges-post-attack", converged);
+  expect(report, "reconcile-converges-post-attack",
+         router().reconciler()->verify_converged(dp.id(), dp.table()));
 }
 
 }  // namespace hw::scenario

@@ -33,7 +33,7 @@ std::vector<std::string> SnapshotCoordinator::layer_names() const {
   return out;
 }
 
-SnapshotImage SnapshotCoordinator::capture() {
+std::shared_ptr<const SnapshotImage> SnapshotCoordinator::capture() {
   // Count the capture before walking the layers: the image's own TELE chunk
   // then carries the incremented value, so a home resumed from it continues
   // the series exactly where the uninterrupted run would be.
@@ -42,10 +42,10 @@ SnapshotImage SnapshotCoordinator::capture() {
   w.begin_chunk(kMetaTag).u64(loop_.now());
   w.end_chunk();
   for (const Layer& l : layers_) l.layer->save(w);
-  SnapshotImage image;
-  image.bytes = std::move(w).finish();
-  image.captured_at = loop_.now();
-  metrics_instruments_.bytes.set(static_cast<std::int64_t>(image.bytes.size()));
+  auto image = std::make_shared<SnapshotImage>();
+  image->bytes = std::move(w).finish();
+  image->captured_at = loop_.now();
+  metrics_instruments_.bytes.set(static_cast<std::int64_t>(image->bytes.size()));
   last_image_ = image;
   return image;
 }
@@ -122,8 +122,8 @@ void SnapshotCoordinator::arm_next_capture(Duration interval) {
     // queued at the capture time runs before the image is taken.
     pending_ = loop_.schedule_at(loop_.now(), [this] {
       if (!periodic_) return;
-      const SnapshotImage image = capture();
-      if (on_capture_) on_capture_(image);
+      const auto image = capture();
+      if (on_capture_) on_capture_(*image);
       arm_next_capture(interval_);
     });
   });

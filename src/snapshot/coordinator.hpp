@@ -14,7 +14,7 @@
 #pragma once
 
 #include <functional>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,7 +48,8 @@ class SnapshotCoordinator {
   [[nodiscard]] std::vector<std::string> layer_names() const;
 
   /// Captures every registered layer into one image, stamped with now().
-  [[nodiscard]] SnapshotImage capture();
+  /// The image is shared with last_image(), never copied.
+  [[nodiscard]] std::shared_ptr<const SnapshotImage> capture();
 
   /// Validates `image`, counting snapshot.corrupt_rejected on failure.
   Result<Reader> parse(std::span<const std::uint8_t> image);
@@ -79,8 +80,9 @@ class SnapshotCoordinator {
       Duration phase = 0);
   void stop_periodic_captures();
 
-  /// Most recent image from capture()/start_periodic_captures().
-  [[nodiscard]] const std::optional<SnapshotImage>& last_image() const {
+  /// Most recent image from capture()/start_periodic_captures(); null
+  /// before the first capture.
+  [[nodiscard]] const std::shared_ptr<const SnapshotImage>& last_image() const {
     return last_image_;
   }
 
@@ -99,7 +101,7 @@ class SnapshotCoordinator {
     Snapshottable* layer = nullptr;
   };
   std::vector<Layer> layers_;
-  std::optional<SnapshotImage> last_image_;
+  std::shared_ptr<const SnapshotImage> last_image_;
   std::function<void(const SnapshotImage&)> on_capture_;
   Duration interval_ = 0;
   Duration phase_ = 0;

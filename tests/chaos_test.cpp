@@ -60,17 +60,37 @@ struct ChaosResult {
   std::size_t flow_entries = 0;
   bool fail_safe_at_end = true;
   int resync_confirmations = 0;  // barrier-confirmed re-syncs observed
-  /// Canonical "match|priority|actions|cookie" rows of the final table,
-  /// sorted — the replay-vs-reconcile differential compares these.
-  std::vector<std::string> flow_rows;
+  /// Canonical "match|priority|actions|cookie" rows of the final table that
+  /// carry a desired-state cookie, sorted.
+  std::vector<std::string> desired_rows;
+  /// The same rows as a bare controller's replay would install them: every
+  /// component's flow intents, cookie = desired_cookie(key), sorted.
+  std::vector<std::string> intent_rows;
+};
+
+std::string flow_row(const ofp::Match& match, std::uint16_t priority,
+                     const ofp::ActionList& actions, std::uint64_t cookie) {
+  char hex[20];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(cookie));
+  return match.to_string() + "|" + std::to_string(priority) + "|" +
+         ofp::to_string(actions) + "|" + hex;
+}
+
+/// Renders flow intents the way replay_flow_setup would install them, keyed
+/// by intent key (a later contribution of a key wins, as its Add would).
+struct IntentRows final : nox::FlowIntentSink {
+  std::map<std::string, std::string> by_key;
+  void add(nox::FlowIntent intent) override {
+    by_key[intent.key] = flow_row(intent.match, intent.priority,
+                                  intent.actions, nox::desired_cookie(intent.key));
+  }
 };
 
 /// One full scripted run. Everything (router, hosts, faults, rpc) is local,
 /// so its instruments detach on return and back-to-back runs see clean
 /// registry state for the series this scenario drives.
-ChaosResult run_scenario(std::uint64_t seed,
-                         HomeworkRouter::Config::Resync resync =
-                             HomeworkRouter::Config::Resync::Reconcile) {
+ChaosResult run_scenario(std::uint64_t seed) {
   sim::EventLoop loop;
   Rng rng(seed);
 
@@ -79,7 +99,6 @@ ChaosResult run_scenario(std::uint64_t seed,
   config.liveness.probe_interval = kSecond;
   config.liveness.max_misses = 2;
   config.datapath.controller_dead_interval = 2 * kSecond;
-  config.resync = resync;
   HomeworkRouter router(loop, rng, config);
 
   ChaosResult result;
@@ -185,20 +204,40 @@ ChaosResult run_scenario(std::uint64_t seed,
   result.flow_entries = router.datapath().table().size();
   result.fail_safe_at_end = router.datapath().fail_safe();
   router.datapath().table().for_each([&result](const ofp::FlowEntry& e) {
-    char cookie[20];
-    std::snprintf(cookie, sizeof cookie, "%016llx",
-                  static_cast<unsigned long long>(e.cookie));
-    result.flow_rows.push_back(e.match.to_string() + "|" +
-                               std::to_string(e.priority) + "|" +
-                               ofp::to_string(e.actions) + "|" + cookie);
+    if (!nox::is_desired_cookie(e.cookie)) return;
+    result.desired_rows.push_back(
+        flow_row(e.match, e.priority, e.actions, e.cookie));
   });
-  std::sort(result.flow_rows.begin(), result.flow_rows.end());
-  if (resync == HomeworkRouter::Config::Resync::Reconcile) {
-    EXPECT_TRUE(router.reconciler()->verify_converged(
-        router.datapath().id(), router.datapath().table()))
-        << "final table diverged from desired state (seed " << seed << ")";
-  }
+  std::sort(result.desired_rows.begin(), result.desired_rows.end());
+  IntentRows intents;
+  router.controller().collect_flow_intents(router.datapath().id(), intents);
+  for (const auto& [key, row] : intents.by_key) result.intent_rows.push_back(row);
+  std::sort(result.intent_rows.begin(), result.intent_rows.end());
+  EXPECT_TRUE(router.reconciler()->verify_converged(
+      router.datapath().id(), router.datapath().table()))
+      << "final table diverged from desired state (seed " << seed << ")";
   return result;
+}
+
+/// Every device ends bound with no two devices sharing an address, and the
+/// hwdb writes landed exactly once: no sequence number twice, and every
+/// insert the client saw acked present.
+void expect_leases_and_inserts_sound(const ChaosResult& r, std::uint64_t seed) {
+  std::set<std::string> ips;
+  for (const auto& lease : r.leases) {
+    const std::string ip = lease.substr(lease.find(' ') + 1);
+    EXPECT_NE(ip, "-") << "unbound device: " << lease << " (seed " << seed
+                       << ")";
+    EXPECT_TRUE(ips.insert(ip).second)
+        << "duplicate DHCP lease " << ip << " (seed " << seed << ")";
+  }
+  std::set<std::int64_t> distinct(r.applied.begin(), r.applied.end());
+  EXPECT_EQ(distinct.size(), r.applied.size())
+      << "a retried insert was applied twice (seed " << seed << ")";
+  for (const std::int64_t seq : r.acked) {
+    EXPECT_TRUE(distinct.count(seq)) << "acked seq " << seq << " missing";
+  }
+  EXPECT_FALSE(r.acked.empty());
 }
 
 TEST(ChaosSoak, SurvivesLossyHomeNetworkAndRecovers) {
@@ -214,27 +253,9 @@ TEST(ChaosSoak, SurvivesLossyHomeNetworkAndRecovers) {
   EXPECT_EQ(r.faults.hwdb_faults, 1u);
   EXPECT_EQ(r.faults.datapath_restarts, 1u);
 
-  // Every device ends bound, and no two devices share an address.
-  std::set<std::string> ips;
-  for (const auto& lease : r.leases) {
-    const std::string ip = lease.substr(lease.find(' ') + 1);
-    EXPECT_NE(ip, "-") << "unbound device: " << lease << " (seed " << seed
-                       << ")";
-    EXPECT_TRUE(ips.insert(ip).second)
-        << "duplicate DHCP lease " << ip << " (seed " << seed << ")";
-  }
+  expect_leases_and_inserts_sound(r, seed);
   // Retransmissions happened (lossy window) yet never double-allocated.
   EXPECT_GT(r.dhcp.retransmits + r.rpc_server.dup_suppressed, 0u);
-
-  // Exactly-once hwdb writes: no sequence number landed twice, and every
-  // insert the client saw acked is present.
-  std::set<std::int64_t> distinct(r.applied.begin(), r.applied.end());
-  EXPECT_EQ(distinct.size(), r.applied.size())
-      << "a retried insert was applied twice (seed " << seed << ")";
-  for (const std::int64_t seq : r.acked) {
-    EXPECT_TRUE(distinct.count(seq)) << "acked seq " << seq << " missing";
-  }
-  EXPECT_FALSE(r.acked.empty());
 
   // The drop burst forced retries; suppression only ever happens when a
   // datagram was re-sent (client retry) or duplicated by the link.
@@ -286,33 +307,25 @@ TEST(ChaosSoak, IdenticalSeedReplaysIdentically) {
 }
 
 TEST(ChaosDifferential, ReplayAndReconcileConvergeToIdenticalState) {
-  // Same seed, same fault plan, two recovery strategies: the legacy blind
-  // replay and the goal-state reconciler must land every device on the same
-  // lease, apply the same hwdb rows, and leave bit-identical flow tables
-  // (rows, priorities, actions AND cookies — replay stamps the same
-  // deterministic desired-state cookies a reconcile Add would).
+  // Under the fault plan the reconciler must land the table exactly where a
+  // bare controller's blind replay would put it: the desired-cookie rows
+  // (match, priority, actions AND cookie) equal every component's flow
+  // intents as replay_flow_setup would install them. Replay itself is not
+  // run — collect_flow_intents is the exact set it sends.
   const std::uint64_t seed = chaos_seed();
-  const ChaosResult replay =
-      run_scenario(seed, HomeworkRouter::Config::Resync::Replay);
-  const ChaosResult reconcile =
-      run_scenario(seed, HomeworkRouter::Config::Resync::Reconcile);
+  const ChaosResult r = run_scenario(seed);
 
-  EXPECT_EQ(replay.flow_rows, reconcile.flow_rows) << "seed " << seed;
-  EXPECT_EQ(replay.leases, reconcile.leases);
-  EXPECT_EQ(replay.applied, reconcile.applied);
-  EXPECT_EQ(replay.acked, reconcile.acked);
-  EXPECT_FALSE(replay.fail_safe_at_end);
-  EXPECT_FALSE(reconcile.fail_safe_at_end);
+  EXPECT_FALSE(r.intent_rows.empty());
+  EXPECT_EQ(r.desired_rows, r.intent_rows) << "seed " << seed;
+  EXPECT_FALSE(r.fail_safe_at_end);
+  expect_leases_and_inserts_sound(r, seed);
 
-  // Both strategies recovered through barrier-confirmed re-syncs, but the
-  // reconciler did it with delta rounds: the divergence (outage heal with a
-  // surviving table + one cold restart) costs it strictly fewer re-sent
-  // flows than replaying every module's setup on each reconnect.
-  EXPECT_GE(replay.resync_confirmations, 2);
-  EXPECT_GE(reconcile.resync_confirmations, 2);
-  EXPECT_LT(reconcile.controller.resynced_flows,
-            replay.controller.resynced_flows)
-      << "delta resync must beat blind replay (seed " << seed << ")";
+  // Recovery ran through barrier-confirmed re-syncs, each re-sending only
+  // the delta: the outage heals a surviving table and only the cold
+  // restart rebuilds, so the re-sent flows stay below two full replays.
+  EXPECT_GE(r.resync_confirmations, 2);
+  EXPECT_LT(r.controller.resynced_flows, 2 * r.intent_rows.size())
+      << "seed " << seed;
 }
 
 }  // namespace

@@ -271,5 +271,35 @@ TEST_F(ShortLeaseFixture, UnrenewedLeaseExpiresInRegistry) {
   EXPECT_EQ(rs.value().rows.size(), 1u);
 }
 
+TEST_F(DhcpFixture, SnapshotChunkWithoutVersionSentinelIsRejected) {
+  sim::Host& host = make_device("laptop");
+  permit(host);
+  ASSERT_TRUE(bind(host).has_value());
+  const auto dhcp_image = [this] {
+    snapshot::Writer w;
+    router.dhcp().save(w);
+    return std::move(w).finish();
+  };
+  const Bytes before = dhcp_image();
+
+  // The pre-versioned layout led straight with the scope count: here one
+  // empty scope for this datapath, which would drop the live allocation.
+  snapshot::Writer w;
+  ByteWriter& c = w.begin_chunk(snapshot::tag("DHCP"));
+  c.u32(1);  // scopes
+  c.u64(router.datapath().id());
+  c.u32(0);  // allocations
+  c.u32(0);  // declined addresses
+  w.end_chunk();
+  const Bytes legacy = std::move(w).finish();
+  auto reader = snapshot::Reader::parse(legacy);
+  ASSERT_TRUE(reader.ok()) << reader.error().message;
+
+  const Status restored = router.dhcp().restore(reader.value());
+  ASSERT_FALSE(restored.ok());
+  EXPECT_NE(restored.error().message.find("sentinel"), std::string::npos);
+  EXPECT_EQ(dhcp_image(), before) << "a rejected chunk must not touch state";
+}
+
 }  // namespace
 }  // namespace hw::homework

@@ -219,8 +219,8 @@ TEST(StreamDifferential, SameScenarioSameTelemetrySameMessageSequences) {
 // ---------------------------------------------------------------------------
 // Liveness under partial delivery: a stalled stream (bytes in flight frozen,
 // possibly mid-frame under a tiny read ceiling) must cross the miss
-// threshold, and a reconnect must resync the datapath's flows through the
-// framed channel.
+// threshold, and a reconnect must resync the datapath through the framed
+// channel.
 
 TEST(StreamLiveness, StalledStreamGoesDeadThenResyncsAfterReconnect) {
   telemetry::MetricRegistry registry;
@@ -234,11 +234,9 @@ TEST(StreamLiveness, StalledStreamGoesDeadThenResyncsAfterReconnect) {
   cfg.channel_mtu = 5;  // every message arrives in partial reads
   cfg.liveness.probe_interval = kSecond;
   cfg.liveness.max_misses = 2;
-  // This test exercises the legacy replay-resync through the framed channel
-  // (the reconciler would instead prove the surviving table converged and
-  // send nothing — covered by the reconcile/chaos suites).
-  cfg.resync = homework::HomeworkRouter::Config::Resync::Replay;
   homework::HomeworkRouter router(loop, rng, cfg, registry);
+  int resynced = 0;
+  router.controller().on_resynced([&resynced](nox::DatapathId) { ++resynced; });
 
   sim::Host::Config hc;
   hc.name = "a";
@@ -263,7 +261,9 @@ TEST(StreamLiveness, StalledStreamGoesDeadThenResyncsAfterReconnect) {
   EXPECT_EQ(dead[0], router.datapath().id());
 
   // Reconnect: the cut drops the frozen in-flight bytes (mid-frame), both
-  // framers reset, and the liveness recovery replays every module's flows.
+  // framers reset, and the liveness recovery runs a reconcile round through
+  // the framed channel. The stall left the table intact, so the round reads
+  // it back and correctly re-sends nothing.
   conn.link().unstall();
   conn.disconnect();
   conn.reconnect();
@@ -275,9 +275,12 @@ TEST(StreamLiveness, StalledStreamGoesDeadThenResyncsAfterReconnect) {
       router.liveness().peer(router.datapath().id());
   ASSERT_NE(peer, nullptr);
   EXPECT_TRUE(peer->alive);
-  EXPECT_GT(router.controller().stats().resynced_flows, 0u)
-      << "recovery must replay module flow setup through the framed channel";
+  EXPECT_EQ(resynced, 1)
+      << "recovery must finish a barrier-confirmed re-sync through the "
+         "framed channel";
   EXPECT_GT(router.datapath().table().size(), 0u);
+  EXPECT_TRUE(router.reconciler()->verify_converged(router.datapath().id(),
+                                                    router.datapath().table()));
 }
 
 }  // namespace

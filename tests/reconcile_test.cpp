@@ -599,7 +599,7 @@ TEST_F(ReconcileFixture, DesiredStateSurvivesCheckpointRestore) {
   EXPECT_NE(std::find(names.begin(), names.end(), "desired"), names.end())
       << "DesiredStore must be a registered snapshot layer";
 
-  const auto image = router.snapshots().capture();
+  const auto image = *router.snapshots().capture();
   router.desired_store()->state(dpid()).flows.clear();  // diverge in memory
   ASSERT_TRUE(router.snapshots().restore(image).ok());
 

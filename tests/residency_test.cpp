@@ -51,7 +51,7 @@ std::string diff_maps(const std::map<std::string, double>& a,
 struct ImageStoreTest : homework::testing::RouterFixture {
   snapshot::SnapshotImage capture_after(Duration run) {
     loop.run_for(run);
-    return router.snapshots().capture();
+    return *router.snapshots().capture();
   }
 };
 
@@ -78,7 +78,7 @@ TEST_F(ImageStoreTest, DedupPoolsSharedChunksAcrossImages) {
   ImageStore store;
   const auto first = capture_after(kSecond);
   loop.run_for(kSecond);
-  const auto second = router.snapshots().capture();
+  const auto second = *router.snapshots().capture();
   ASSERT_TRUE(store.put(0, first).ok());
   ASSERT_TRUE(store.put(1, first).ok());   // identical twin: full overlap
   ASSERT_TRUE(store.put(2, second).ok());  // later capture: partial overlap

@@ -226,7 +226,7 @@ struct Rig {
 
 TEST(SnapshotCoordinator, CaptureRestoresEveryLayerIntoAFreshHome) {
   Rig first;
-  const SnapshotImage image = first.router.snapshots().capture();
+  const SnapshotImage image = *first.router.snapshots().capture();
   EXPECT_EQ(image.captured_at, first.loop.now());
   EXPECT_GT(image.bytes.size(), 100u);
   EXPECT_GT(first.registry.total("snapshot.captures").value_or(0), 0.0);
@@ -275,7 +275,7 @@ TEST(SnapshotCoordinator, CaptureRestoresEveryLayerIntoAFreshHome) {
 
 TEST(SnapshotCoordinator, CorruptImageRejectedAtEveryOffsetWithoutSideEffects) {
   Rig rig;
-  const SnapshotImage image = rig.router.snapshots().capture();
+  const SnapshotImage image = *rig.router.snapshots().capture();
   const std::size_t flows = rig.router.datapath().table().size();
   ASSERT_GT(flows, 0u);
 
@@ -291,7 +291,7 @@ TEST(SnapshotCoordinator, CorruptImageRejectedAtEveryOffsetWithoutSideEffects) {
 
   // No layer was touched: recapturing at the same virtual instant yields a
   // byte-identical image.
-  EXPECT_EQ(rig.router.snapshots().capture().bytes, image.bytes);
+  EXPECT_EQ(rig.router.snapshots().capture()->bytes, image.bytes);
   EXPECT_EQ(rig.router.datapath().table().size(), flows);
 }
 
@@ -316,7 +316,7 @@ TEST(SnapshotCoordinator, WarmRestartRefillsTheFlowTable) {
 TEST(SnapshotCoordinator, WarmRestartWithoutImageIsACleanColdStart) {
   Rig rig;
   ASSERT_GT(rig.router.datapath().table().size(), 0u);
-  ASSERT_FALSE(rig.router.snapshots().last_image().has_value());
+  ASSERT_EQ(rig.router.snapshots().last_image(), nullptr);
   EXPECT_TRUE(rig.router.warm_restart().ok());
   EXPECT_EQ(rig.router.datapath().table().size(), 0u);  // cold wipe
 }
@@ -364,7 +364,7 @@ TEST(SnapshotCoordinator, PeriodicCapturesLandOnThePhaseGrid) {
 
 TEST(SnapshotFiles, AtomicWriteThenReadRoundTrip) {
   Rig rig;
-  const SnapshotImage image = rig.router.snapshots().capture();
+  const SnapshotImage image = *rig.router.snapshots().capture();
   const std::string path = ::testing::TempDir() + "/hw_snapshot_test.bin";
 
   ASSERT_TRUE(SnapshotCoordinator::write_file(path, image).ok());

@@ -193,6 +193,38 @@ TEST(RingBuffer, ConstantMemory) {
   EXPECT_EQ(ring.newest(), 99999);
 }
 
+/// Element type that counts its constructions (value, copy and move).
+struct Counted {
+  static inline int constructions = 0;
+  int v = 0;
+  explicit Counted(int value) : v(value) { ++constructions; }
+  Counted(const Counted& o) : v(o.v) { ++constructions; }
+  Counted& operator=(const Counted&) = default;
+};
+
+TEST(RingBuffer, ConstructsSlotsOnPushAndKeepsWrapOrder) {
+  Counted::constructions = 0;
+  RingBuffer<Counted> ring(3);
+  EXPECT_EQ(Counted::constructions, 0) << "construction must not fill slots";
+  std::vector<bool> evicted;
+  std::vector<int> order;
+  for (int lap = 0; lap < 2; ++lap) {  // before and after a clear()
+    evicted.clear();
+    for (int i = 1; i <= 5; ++i) evicted.push_back(ring.push(Counted(i)));
+    EXPECT_EQ(evicted, (std::vector<bool>{false, false, false, true, true}));
+    order.clear();
+    ring.for_each([&](const Counted& c) {
+      order.push_back(c.v);
+      return true;
+    });
+    EXPECT_EQ(order, (std::vector<int>{3, 4, 5}));
+    ring.clear();
+  }
+  // Per push: the argument plus, on a slot's first lap only, its copy.
+  EXPECT_EQ(Counted::constructions, 2 * (5 + 3));
+  EXPECT_EQ(ring.capacity(), 3u);
+}
+
 // ---------------------------------------------------------------------------
 // Strings
 
