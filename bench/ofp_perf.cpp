@@ -184,8 +184,8 @@ void BM_DatapathFastPath(benchmark::State& state) {
 BENCHMARK(BM_DatapathFastPath);
 
 void BM_DatapathFastPathNoRewrite(benchmark::State& state) {
-  // Output-only rule: isolates the lookup+forward cost from the MAC/IP
-  // rewrite (which re-serializes the frame).
+  // Output-only rule: isolates the lookup+forward cost from the MAC rewrite
+  // (which copies the frame once and patches the copy in place).
   sim::EventLoop loop;
   Datapath dp(loop, {});
   sim::CallbackSink sink([](const Bytes&) {});

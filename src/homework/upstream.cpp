@@ -27,12 +27,12 @@ void Upstream::send(Bytes frame) {
 
 void Upstream::deliver(const Bytes& frame) {
   metrics_.frames_in.inc();
-  auto parsed = net::ParsedPacket::parse(frame);
+  auto parsed = net::PacketHeaders::parse(frame);
   if (!parsed || !parsed.value().ip) return;
   const auto& p = parsed.value();
 
   if (p.is_dns() && p.udp->dst_port == net::kDnsPort) {
-    handle_dns(p);
+    handle_dns(p, p.payload(frame));
     return;
   }
   if (p.tcp) {
@@ -46,9 +46,10 @@ void Upstream::deliver(const Bytes& frame) {
   // Other UDP etc.: swallowed, as most of the Internet does.
 }
 
-void Upstream::handle_dns(const net::ParsedPacket& p) {
+void Upstream::handle_dns(const net::PacketHeaders& p,
+                          std::span<const std::uint8_t> payload) {
   metrics_.dns_queries.inc();
-  auto msg = net::DnsMessage::parse(p.l4_payload);
+  auto msg = net::DnsMessage::parse(payload);
   if (!msg || msg.value().questions.empty()) return;
   const auto& query = msg.value();
   const auto& q = query.questions.front();
@@ -92,7 +93,7 @@ void Upstream::handle_dns(const net::ParsedPacket& p) {
                       net::kDnsPort, p.udp->src_port, resp.serialize()));
 }
 
-void Upstream::handle_tcp(const net::ParsedPacket& p) {
+void Upstream::handle_tcp(const net::PacketHeaders& p) {
   const auto& tcp = *p.tcp;
   if (tcp.rst()) return;
 
@@ -119,13 +120,13 @@ void Upstream::handle_tcp(const net::ParsedPacket& p) {
                         {}));
     return;
   }
-  if (!p.l4_payload.empty()) {
+  if (p.payload_size != 0) {
     metrics_.tcp_data_segments.inc();
     // Serve the download: N response bytes split into MTU-sized segments.
     auto it = config_.response_bytes.find(tcp.dst_port);
     std::size_t remaining = it == config_.response_bytes.end() ? 0 : it->second;
     std::uint32_t seq = tcp_seq_;
-    const std::uint32_t ack = tcp.seq + static_cast<std::uint32_t>(p.l4_payload.size());
+    const std::uint32_t ack = tcp.seq + static_cast<std::uint32_t>(p.payload_size);
     do {
       const std::size_t chunk = std::min(remaining, config_.mtu_payload);
       net::TcpHeader data;
@@ -144,7 +145,7 @@ void Upstream::handle_tcp(const net::ParsedPacket& p) {
   }
 }
 
-void Upstream::handle_icmp(const net::ParsedPacket& p) {
+void Upstream::handle_icmp(const net::PacketHeaders& p) {
   metrics_.pings.inc();
   send(net::build_icmp_echo(config_.gw_mac, p.eth.src, p.ip->dst, p.ip->src,
                             net::IcmpType::EchoReply, p.icmp->identifier,

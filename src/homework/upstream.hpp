@@ -68,9 +68,10 @@ class Upstream final : public sim::FrameSink {
   }
 
  private:
-  void handle_dns(const net::ParsedPacket& p);
-  void handle_tcp(const net::ParsedPacket& p);
-  void handle_icmp(const net::ParsedPacket& p);
+  void handle_dns(const net::PacketHeaders& p,
+                  std::span<const std::uint8_t> payload);
+  void handle_tcp(const net::PacketHeaders& p);
+  void handle_icmp(const net::PacketHeaders& p);
   void send(Bytes frame);
 
   sim::EventLoop& loop_;

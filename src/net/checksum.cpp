@@ -35,4 +35,12 @@ std::uint16_t l4_checksum(Ipv4Address src, Ipv4Address dst, std::uint8_t protoco
   return fold(sum_words(segment, acc));
 }
 
+std::uint16_t checksum_adjust(std::uint16_t checksum, std::uint16_t old_word,
+                              std::uint16_t new_word) {
+  std::uint32_t acc = static_cast<std::uint16_t>(~checksum);
+  acc += static_cast<std::uint16_t>(~old_word);
+  acc += new_word;
+  return fold(acc);
+}
+
 }  // namespace hw::net

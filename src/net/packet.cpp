@@ -12,9 +12,9 @@ std::string FiveTuple::to_string() const {
          ")";
 }
 
-Result<ParsedPacket> ParsedPacket::parse(std::span<const std::uint8_t> frame) {
+Result<PacketHeaders> PacketHeaders::parse(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
-  ParsedPacket p;
+  PacketHeaders p;
   p.frame_size = frame.size();
 
   auto eth = EthernetHeader::parse(r);
@@ -37,27 +37,24 @@ Result<ParsedPacket> ParsedPacket::parse(std::span<const std::uint8_t> frame) {
   auto ip = Ipv4Header::parse(r);
   if (!ip) return ip.error();
   p.ip = ip.value();
+  p.l4_offset = r.position();
 
   switch (p.ip->proto()) {
     case IpProto::Udp: {
       auto udp = UdpHeader::parse(r);
       if (!udp) return udp.error();
       p.udp = udp.value();
-      const std::size_t payload_len = p.udp->length > kUdpHeaderSize
-                                          ? p.udp->length - kUdpHeaderSize
-                                          : 0;
-      auto payload = r.raw(std::min(payload_len, r.remaining()));
-      if (!payload) return payload.error();
-      p.l4_payload = std::move(payload).take();
+      p.payload_offset = r.position();
+      p.payload_size = std::min<std::size_t>(p.udp->length - kUdpHeaderSize,
+                                             r.remaining());
       break;
     }
     case IpProto::Tcp: {
       auto tcp = TcpHeader::parse(r);
       if (!tcp) return tcp.error();
       p.tcp = tcp.value();
-      auto payload = r.raw(r.remaining());
-      if (!payload) return payload.error();
-      p.l4_payload = std::move(payload).take();
+      p.payload_offset = r.position();
+      p.payload_size = r.remaining();
       break;
     }
     case IpProto::Icmp: {
@@ -72,7 +69,17 @@ Result<ParsedPacket> ParsedPacket::parse(std::span<const std::uint8_t> frame) {
   return p;
 }
 
-std::optional<FiveTuple> ParsedPacket::five_tuple() const {
+Result<ParsedPacket> ParsedPacket::parse(std::span<const std::uint8_t> frame) {
+  auto headers = PacketHeaders::parse(frame);
+  if (!headers) return headers.error();
+  ParsedPacket p;
+  static_cast<PacketHeaders&>(p) = headers.value();
+  const auto payload = p.payload(frame);
+  p.l4_payload.assign(payload.begin(), payload.end());
+  return p;
+}
+
+std::optional<FiveTuple> PacketHeaders::five_tuple() const {
   if (!ip) return std::nullopt;
   FiveTuple t;
   t.src_ip = ip->src;
@@ -88,12 +95,12 @@ std::optional<FiveTuple> ParsedPacket::five_tuple() const {
   return t;
 }
 
-bool ParsedPacket::is_dhcp() const {
+bool PacketHeaders::is_dhcp() const {
   return udp && ((udp->src_port == 68 && udp->dst_port == 67) ||
                  (udp->src_port == 67 && udp->dst_port == 68));
 }
 
-bool ParsedPacket::is_dns() const {
+bool PacketHeaders::is_dns() const {
   return udp && (udp->src_port == 53 || udp->dst_port == 53);
 }
 

@@ -1,6 +1,7 @@
 // Whole-frame construction and dissection. Frames travel through the system
-// as raw bytes (as on a real wire); ParsedPacket is the dissected view used
-// by the datapath's flow extraction and by the NOX modules.
+// as raw bytes (as on a real wire). PacketHeaders is the copy-free dissection
+// the datapath runs once per frame; ParsedPacket adds an owned copy of the L4
+// payload for the NOX modules, hosts and tests that keep a packet around.
 #pragma once
 
 #include <optional>
@@ -31,21 +32,33 @@ struct FiveTuple {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Dissected frame: layers are present as far as parsing succeeded.
-struct ParsedPacket {
+/// Dissected headers of one frame, and where its layers sit in it. Parsing
+/// copies no frame bytes and keeps no pointer into the frame, so the headers
+/// outlive it; the offsets only describe the frame they came from (or a copy
+/// of it). This is the datapath's per-frame dissection.
+struct PacketHeaders {
   EthernetHeader eth;
   std::optional<ArpMessage> arp;
   std::optional<Ipv4Header> ip;
   std::optional<UdpHeader> udp;
   std::optional<TcpHeader> tcp;
   std::optional<IcmpHeader> icmp;
-  /// L4 payload (UDP data / TCP segment data), view into the original frame.
-  Bytes l4_payload;
   std::size_t frame_size = 0;
+  /// Start of the L4 header (IPv4 frames only: just past the IPv4 options).
+  std::size_t l4_offset = 0;
+  /// UDP data / TCP segment data: where it starts and how long it is.
+  std::size_t payload_offset = 0;
+  std::size_t payload_size = 0;
 
   /// Dissects as deep as the frame allows; the Ethernet layer must parse or
   /// an error is returned. Unknown ethertypes/protocols keep outer layers.
-  static Result<ParsedPacket> parse(std::span<const std::uint8_t> frame);
+  static Result<PacketHeaders> parse(std::span<const std::uint8_t> frame);
+
+  /// The L4 payload inside `frame`, which must be the dissected frame.
+  [[nodiscard]] std::span<const std::uint8_t> payload(
+      std::span<const std::uint8_t> frame) const {
+    return frame.subspan(payload_offset, payload_size);
+  }
 
   [[nodiscard]] bool is_ipv4() const { return ip.has_value(); }
   [[nodiscard]] std::optional<FiveTuple> five_tuple() const;
@@ -53,6 +66,16 @@ struct ParsedPacket {
   [[nodiscard]] bool is_dhcp() const;
   /// True for UDP port 53 traffic.
   [[nodiscard]] bool is_dns() const;
+};
+
+/// Dissected frame that owns its L4 payload, for consumers that keep the
+/// packet after the frame is gone (controller events, hosts, tests).
+struct ParsedPacket : PacketHeaders {
+  /// L4 payload (UDP data / TCP segment data), copied out of the frame.
+  Bytes l4_payload;
+
+  /// PacketHeaders::parse plus a copy of the payload.
+  static Result<ParsedPacket> parse(std::span<const std::uint8_t> frame);
 };
 
 /// Frame builders used by simulated hosts and by the router's packet-outs.

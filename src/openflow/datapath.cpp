@@ -2,54 +2,13 @@
 
 #include <algorithm>
 
-#include "net/packet.hpp"
+#include "net/rewrite.hpp"
 #include "util/logging.hpp"
 
 namespace hw::ofp {
 namespace {
 
 constexpr std::string_view kLog = "datapath";
-
-/// Re-serializes a frame after header rewrites. Returns the original frame
-/// if it cannot be parsed (rewrite actions then have no effect).
-Bytes rewrite_frame(const Bytes& frame, const std::function<void(net::ParsedPacket&)>& edit) {
-  auto parsed = net::ParsedPacket::parse(frame);
-  if (!parsed) return frame;
-  auto p = std::move(parsed).take();
-  edit(p);
-
-  // Rebuild from the parsed layers.
-  if (p.arp) {
-    return net::build_ethernet(p.eth.src, p.eth.dst,
-                               static_cast<net::EtherType>(p.eth.ethertype),
-                               [&] {
-                                 ByteWriter w;
-                                 p.arp->serialize(w);
-                                 return std::move(w).take();
-                               }());
-  }
-  if (p.ip) {
-    ByteWriter w(frame.size());
-    p.eth.serialize(w);
-    if (p.udp) {
-      p.ip->serialize(w, net::kUdpHeaderSize + p.l4_payload.size());
-      p.udp->length = 0;  // recompute
-      p.udp->serialize(w, p.l4_payload.size());
-      w.raw(p.l4_payload);
-    } else if (p.tcp) {
-      p.ip->serialize(w, net::kTcpMinHeaderSize + p.l4_payload.size());
-      p.tcp->serialize(w);
-      w.raw(p.l4_payload);
-    } else if (p.icmp) {
-      p.ip->serialize(w, 8);
-      p.icmp->serialize(w);
-    } else {
-      p.ip->serialize(w, 0);
-    }
-    return std::move(w).take();
-  }
-  return frame;
-}
 
 }  // namespace
 
@@ -167,22 +126,25 @@ void Datapath::receive_frame(std::uint16_t in_port, const Bytes& frame) {
 }
 
 void Datapath::process_frame(std::uint16_t in_port, const Bytes& frame) {
-  auto parsed = net::ParsedPacket::parse(frame);
+  // The frame's one dissection: it feeds flow extraction, learning, every
+  // set-field action and NORMAL.
+  auto parsed = net::PacketHeaders::parse(frame);
   if (!parsed) {
     auto it = ports_.find(in_port);
     if (it != ports_.end()) ++it->second.counters.rx_dropped;
     return;
   }
-  // Opportunistic L2 learning keeps NORMAL working regardless of rules.
-  if (!parsed.value().eth.src.is_multicast()) {
-    mac_table_[parsed.value().eth.src] = in_port;
+  net::PacketHeaders& headers = parsed.value();
+  // Opportunistic L2 learning keeps NORMAL working regardless of rules. A
+  // known station costs one hash probe and no allocation.
+  if (!headers.eth.src.is_multicast()) {
+    mac_table_.insert_or_assign(headers.eth.src, in_port);
   }
 
   // Tier 1: the exact-match microflow cache. A hit skips the classifier
   // entirely; only the first packet of a flow (or the first after a table
   // mutation) pays the tuple-space search.
-  const FlowKey key =
-      FlowKey::from_match(Match::from_packet(parsed.value(), in_port));
+  const FlowKey key = FlowKey::from_match(Match::from_packet(headers, in_port));
   const std::uint64_t generation = table_.generation();
   const MicroflowCache::Probe cached = microflow_.probe(key, generation);
   if (cached.flushed) metrics_.microflow_invalidations.inc();
@@ -200,50 +162,57 @@ void Datapath::process_frame(std::uint16_t in_port, const Bytes& frame) {
                    config_.miss_send_len);
     return;
   }
-  apply_actions(entry->actions, in_port, frame);
+  apply_actions(entry->actions, in_port, frame, &headers);
 }
 
 void Datapath::apply_actions(const ActionList& actions, std::uint16_t in_port,
-                             Bytes frame) {
+                             const Bytes& frame) {
+  auto parsed = net::PacketHeaders::parse(frame);
+  apply_actions(actions, in_port, frame, parsed ? &parsed.value() : nullptr);
+}
+
+void Datapath::apply_actions(const ActionList& actions, std::uint16_t in_port,
+                             const Bytes& frame, net::PacketHeaders* headers) {
   if (actions.empty()) return;  // drop
+
+  Bytes patched;  // the one copy, made by the first set-field action
+  const Bytes* current = &frame;
+  const auto writable = [&]() -> std::span<std::uint8_t> {
+    if (current != &patched) {
+      patched = frame;
+      current = &patched;
+    }
+    return patched;
+  };
 
   for (const auto& action : actions) {
     std::visit(
         [&](const auto& a) {
           using T = std::decay_t<decltype(a)>;
           if constexpr (std::is_same_v<T, ActionOutput>) {
-            output(a.port, in_port, frame, a.max_len);
+            output(a.port, in_port, *current, headers, a.max_len);
           } else if constexpr (std::is_same_v<T, ActionSetDlSrc>) {
-            frame = rewrite_frame(frame, [&](net::ParsedPacket& p) { p.eth.src = a.mac; });
+            if (headers != nullptr) net::set_dl_src(writable(), *headers, a.mac);
           } else if constexpr (std::is_same_v<T, ActionSetDlDst>) {
-            frame = rewrite_frame(frame, [&](net::ParsedPacket& p) { p.eth.dst = a.mac; });
+            if (headers != nullptr) net::set_dl_dst(writable(), *headers, a.mac);
           } else if constexpr (std::is_same_v<T, ActionSetNwSrc>) {
-            frame = rewrite_frame(frame, [&](net::ParsedPacket& p) {
-              if (p.ip) p.ip->src = a.addr;
-            });
+            if (headers != nullptr) net::set_nw_src(writable(), *headers, a.addr);
           } else if constexpr (std::is_same_v<T, ActionSetNwDst>) {
-            frame = rewrite_frame(frame, [&](net::ParsedPacket& p) {
-              if (p.ip) p.ip->dst = a.addr;
-            });
+            if (headers != nullptr) net::set_nw_dst(writable(), *headers, a.addr);
           } else if constexpr (std::is_same_v<T, ActionSetTpSrc>) {
-            frame = rewrite_frame(frame, [&](net::ParsedPacket& p) {
-              if (p.udp) p.udp->src_port = a.port;
-              if (p.tcp) p.tcp->src_port = a.port;
-            });
+            if (headers != nullptr) net::set_tp_src(writable(), *headers, a.port);
           } else if constexpr (std::is_same_v<T, ActionSetTpDst>) {
-            frame = rewrite_frame(frame, [&](net::ParsedPacket& p) {
-              if (p.udp) p.udp->dst_port = a.port;
-              if (p.tcp) p.tcp->dst_port = a.port;
-            });
+            if (headers != nullptr) net::set_tp_dst(writable(), *headers, a.port);
           } else if constexpr (std::is_same_v<T, ActionEnqueue>) {
+            const Bytes& out = *current;
             auto it = queues_.find({a.port, a.queue_id});
             if (it == queues_.end()) {
               // Unconfigured queue degrades to a plain output (OVS behaviour).
-              output(a.port, in_port, frame);
-            } else if (it->second.bucket.try_consume(loop_.now(), frame.size())) {
+              output(a.port, in_port, out, headers);
+            } else if (it->second.bucket.try_consume(loop_.now(), out.size())) {
               ++it->second.counters.tx_packets;
-              it->second.counters.tx_bytes += frame.size();
-              output(a.port, in_port, frame);
+              it->second.counters.tx_bytes += out.size();
+              output(a.port, in_port, out, headers);
             } else {
               ++it->second.counters.dropped;  // policed
             }
@@ -254,7 +223,8 @@ void Datapath::apply_actions(const ActionList& actions, std::uint16_t in_port,
 }
 
 void Datapath::output(std::uint16_t out_port, std::uint16_t in_port,
-                      const Bytes& frame, std::uint16_t controller_max_len) {
+                      const Bytes& frame, const net::PacketHeaders* headers,
+                      std::uint16_t controller_max_len) {
   switch (out_port) {
     case port_no(Port::Controller):
       send_packet_in(in_port, frame, PacketInReason::Action, controller_max_len);
@@ -269,7 +239,7 @@ void Datapath::output(std::uint16_t out_port, std::uint16_t in_port,
       out_port = in_port;
       break;
     case port_no(Port::Normal):
-      do_normal(in_port, frame);
+      do_normal(in_port, frame, headers);
       return;
     case port_no(Port::Local):
     case port_no(Port::Table):
@@ -296,10 +266,10 @@ void Datapath::flood(std::uint16_t in_port, const Bytes& frame,
   }
 }
 
-void Datapath::do_normal(std::uint16_t in_port, const Bytes& frame) {
-  auto parsed = net::ParsedPacket::parse(frame);
-  if (!parsed) return;
-  const MacAddress dst = parsed.value().eth.dst;
+void Datapath::do_normal(std::uint16_t in_port, const Bytes& frame,
+                         const net::PacketHeaders* headers) {
+  if (headers == nullptr) return;
+  const MacAddress dst = headers->eth.dst;
   if (dst.is_broadcast() || dst.is_multicast()) {
     flood(in_port, frame, false);
     return;
@@ -310,7 +280,7 @@ void Datapath::do_normal(std::uint16_t in_port, const Bytes& frame) {
     return;
   }
   if (it->second == in_port) return;  // already on the right segment
-  output(it->second, in_port, frame);
+  output(it->second, in_port, frame, headers);
 }
 
 void Datapath::send_packet_in(std::uint16_t in_port, const Bytes& frame,
@@ -455,25 +425,23 @@ void Datapath::handle_flow_mod(const FlowMod& mod, std::uint32_t xid) {
        mod.command == FlowModCommand::Modify ||
        mod.command == FlowModCommand::ModifyStrict)) {
     if (auto frame = take_buffered(mod.buffer_id)) {
-      apply_actions(mod.actions, mod.match.in_port, std::move(*frame));
+      apply_actions(mod.actions, mod.match.in_port, *frame);
     }
   }
 }
 
 void Datapath::handle_packet_out(const PacketOut& po, std::uint32_t xid) {
   metrics_.packet_outs.inc();
-  Bytes frame;
-  if (po.buffer_id != kNoBuffer) {
-    auto buffered = take_buffered(po.buffer_id);
-    if (!buffered) {
-      send_error(ErrorType::BadRequest, /*OFPBRC_BUFFER_UNKNOWN=*/8, xid, {});
-      return;
-    }
-    frame = std::move(*buffered);
-  } else {
-    frame = po.data;
+  if (po.buffer_id == kNoBuffer) {
+    apply_actions(po.actions, po.in_port, po.data);
+    return;
   }
-  apply_actions(po.actions, po.in_port, std::move(frame));
+  auto buffered = take_buffered(po.buffer_id);
+  if (!buffered) {
+    send_error(ErrorType::BadRequest, /*OFPBRC_BUFFER_UNKNOWN=*/8, xid, {});
+    return;
+  }
+  apply_actions(po.actions, po.in_port, *buffered);
 }
 
 void Datapath::handle_stats_request(const StatsRequest& req, std::uint32_t xid) {

@@ -8,7 +8,9 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
+#include "net/packet.hpp"
 #include "openflow/channel.hpp"
 #include "openflow/flow_table.hpp"
 #include "openflow/messages.hpp"
@@ -151,13 +153,22 @@ class Datapath {
   void handle_packet_out(const PacketOut& po, std::uint32_t xid);
   void handle_stats_request(const StatsRequest& req, std::uint32_t xid);
   void process_frame(std::uint16_t in_port, const Bytes& frame);
-  /// Executes an action list on a frame (possibly rewriting headers).
+  /// Executes an action list on a frame. `headers` is the frame's one
+  /// dissection, or nullptr if it did not parse (set-field actions then do
+  /// nothing and NORMAL drops). Outputs forward the caller's bytes until the
+  /// first set-field action; it makes the one copy of the frame, and every
+  /// set-field action patches that copy in place.
   void apply_actions(const ActionList& actions, std::uint16_t in_port,
-                     Bytes frame);
+                     const Bytes& frame, net::PacketHeaders* headers);
+  /// Parses `frame` once, then applies `actions` (packet-out, buffer release).
+  void apply_actions(const ActionList& actions, std::uint16_t in_port,
+                     const Bytes& frame);
   void output(std::uint16_t out_port, std::uint16_t in_port, const Bytes& frame,
+              const net::PacketHeaders* headers,
               std::uint16_t controller_max_len = 0);
   void flood(std::uint16_t in_port, const Bytes& frame, bool include_in_port);
-  void do_normal(std::uint16_t in_port, const Bytes& frame);
+  void do_normal(std::uint16_t in_port, const Bytes& frame,
+                 const net::PacketHeaders* headers);
   void send_packet_in(std::uint16_t in_port, const Bytes& frame,
                       PacketInReason reason, std::uint16_t max_len);
   void send_to_controller(Message msg, std::uint32_t xid = 0);
@@ -218,7 +229,7 @@ class Datapath {
 
   // L2 learning table backing the NORMAL action ("normal processing
   // pipeline" in the paper's action taxonomy).
-  std::map<MacAddress, std::uint16_t> mac_table_;
+  std::unordered_map<MacAddress, std::uint16_t> mac_table_;
 
   // Policing queues keyed by (port, queue_id).
   struct Queue {

@@ -9,7 +9,7 @@ namespace hw::ofp {
 namespace {
 
 Result<MacAddress> read_mac(ByteReader& r) {
-  auto raw = r.raw(6);
+  auto raw = r.view(6);
   if (!raw) return raw.error();
   std::array<std::uint8_t, 6> octets{};
   std::copy(raw.value().begin(), raw.value().end(), octets.begin());
@@ -18,7 +18,7 @@ Result<MacAddress> read_mac(ByteReader& r) {
 
 }  // namespace
 
-Match Match::from_packet(const net::ParsedPacket& p, std::uint16_t in_port) {
+Match Match::from_packet(const net::PacketHeaders& p, std::uint16_t in_port) {
   Match m;
   m.wildcards = 0;
   m.in_port = in_port;

@@ -71,7 +71,7 @@ struct Match {
 
   /// Exact match extracted from a packet as the datapath does on lookup
   /// (OpenFlow 1.0 §3.4 flow extraction).
-  static Match from_packet(const net::ParsedPacket& p, std::uint16_t in_port);
+  static Match from_packet(const net::PacketHeaders& p, std::uint16_t in_port);
 
   // Builder helpers (clear the corresponding wildcard bit).
   Match& with_in_port(std::uint16_t port);

@@ -26,7 +26,7 @@ Result<PhyPort> read_phy_port(ByteReader& r) {
   auto port = r.u16();
   if (!port) return port.error();
   p.port_no = port.value();
-  auto mac = r.raw(6);
+  auto mac = r.view(6);
   if (!mac) return mac.error();
   std::array<std::uint8_t, 6> octets{};
   std::copy(mac.value().begin(), mac.value().end(), octets.begin());

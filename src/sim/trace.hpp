@@ -2,6 +2,7 @@
 // and offers simple filters, like a tcpdump for the simulated wire.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -29,13 +30,14 @@ class Trace {
   /// move it in; forwarding shims pay the same one copy they always did.
   void record(Timestamp time, std::string point, Bytes frame) {
     if (max_entries_ != 0 && entries_.size() >= max_entries_) {
-      entries_.erase(entries_.begin());
+      entries_.pop_front();
       ++dropped_;
     }
     entries_.push_back(TraceEntry{time, std::move(point), std::move(frame)});
   }
 
-  [[nodiscard]] const std::vector<TraceEntry>& entries() const { return entries_; }
+  /// Oldest first.
+  [[nodiscard]] const std::deque<TraceEntry>& entries() const { return entries_; }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   /// Entries discarded to honour the cap.
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
@@ -53,7 +55,7 @@ class Trace {
  private:
   std::size_t max_entries_ = 0;
   std::uint64_t dropped_ = 0;
-  std::vector<TraceEntry> entries_;
+  std::deque<TraceEntry> entries_;  // O(1) drop-oldest once capped
 };
 
 }  // namespace hw::sim

@@ -48,27 +48,8 @@ void ByteWriter::patch_u32(std::size_t offset, std::uint32_t v) {
   patch_u16(offset + 2, static_cast<std::uint16_t>(v));
 }
 
-Result<std::uint8_t> ByteReader::u8() {
-  if (remaining() < 1) return make_error("short read: u8");
-  return data_[pos_++];
-}
-
-Result<std::uint16_t> ByteReader::u16() {
-  if (remaining() < 2) return make_error("short read: u16");
-  std::uint16_t v = static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(data_[pos_]) << 8) | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
-Result<std::uint32_t> ByteReader::u32() {
-  if (remaining() < 4) return make_error("short read: u32");
-  std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 24) |
-                    (static_cast<std::uint32_t>(data_[pos_ + 1]) << 16) |
-                    (static_cast<std::uint32_t>(data_[pos_ + 2]) << 8) |
-                    static_cast<std::uint32_t>(data_[pos_ + 3]);
-  pos_ += 4;
-  return v;
+Error ByteReader::short_read(const char* what) {
+  return make_error(std::string("short read: ") + what);
 }
 
 Result<std::uint64_t> ByteReader::u64() {
@@ -87,13 +68,6 @@ Result<Bytes> ByteReader::raw(std::size_t len) {
   return out;
 }
 
-Result<std::span<const std::uint8_t>> ByteReader::view(std::size_t len) {
-  if (remaining() < len) return make_error("short read: view");
-  auto out = data_.subspan(pos_, len);
-  pos_ += len;
-  return out;
-}
-
 Result<std::string> ByteReader::fixed_string(std::size_t len) {
   auto v = view(len);
   if (!v) return v.error();
@@ -101,12 +75,6 @@ Result<std::string> ByteReader::fixed_string(std::size_t len) {
   std::size_t end = span.size();
   while (end > 0 && span[end - 1] == 0) --end;
   return std::string(reinterpret_cast<const char*>(span.data()), end);
-}
-
-Status ByteReader::skip(std::size_t len) {
-  if (remaining() < len) return Status::failure("short read: skip");
-  pos_ += len;
-  return {};
 }
 
 std::string hex_dump(std::span<const std::uint8_t> data, std::size_t max_bytes) {

@@ -55,19 +55,49 @@ class ByteReader {
   [[nodiscard]] std::size_t position() const { return pos_; }
   [[nodiscard]] bool empty() const { return remaining() == 0; }
 
-  Result<std::uint8_t> u8();
-  Result<std::uint16_t> u16();
-  Result<std::uint32_t> u32();
+  // The fixed-width reads are inline: packet dissection runs them for every
+  // field of every frame.
+  Result<std::uint8_t> u8() {
+    if (remaining() < 1) return short_read("u8");
+    return data_[pos_++];
+  }
+  Result<std::uint16_t> u16() {
+    if (remaining() < 2) return short_read("u16");
+    const auto v = static_cast<std::uint16_t>((data_[pos_] << 8) | data_[pos_ + 1]);
+    pos_ += 2;
+    return v;
+  }
+  Result<std::uint32_t> u32() {
+    if (remaining() < 4) return short_read("u32");
+    const std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 24) |
+                            (static_cast<std::uint32_t>(data_[pos_ + 1]) << 16) |
+                            (static_cast<std::uint32_t>(data_[pos_ + 2]) << 8) |
+                            static_cast<std::uint32_t>(data_[pos_ + 3]);
+    pos_ += 4;
+    return v;
+  }
   Result<std::uint64_t> u64();
   /// Copies `len` bytes out.
   Result<Bytes> raw(std::size_t len);
   /// Zero-copy view of `len` bytes.
-  Result<std::span<const std::uint8_t>> view(std::size_t len);
+  Result<std::span<const std::uint8_t>> view(std::size_t len) {
+    if (remaining() < len) return short_read("view");
+    auto out = data_.subspan(pos_, len);
+    pos_ += len;
+    return out;
+  }
   /// Reads `len` bytes and strips trailing NULs (fixed-width name fields).
   Result<std::string> fixed_string(std::size_t len);
-  Status skip(std::size_t len);
+  Status skip(std::size_t len) {
+    if (remaining() < len) return short_read("skip");
+    pos_ += len;
+    return {};
+  }
 
  private:
+  /// "short read: <what>", built out of line so the inlined reads stay small.
+  static Error short_read(const char* what);
+
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };

@@ -7,6 +7,7 @@
 #include "net/dhcp.hpp"
 #include "net/dns.hpp"
 #include "net/packet.hpp"
+#include "net/rewrite.hpp"
 #include "util/rand.hpp"
 
 namespace hw::net {
@@ -423,6 +424,189 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, UdpRoundTrip,
     ::testing::Combine(::testing::Values(1, 53, 80, 5060, 32000, 65534),
                        ::testing::Values(0, 1, 64, 512, 1400)));
+
+// ---------------------------------------------------------------------------
+// In-place set-field rewrites and the RFC 1624 incremental checksum
+
+TEST(Checksum, Rfc1624MinusZeroExample) {
+  // RFC 1624 §4: HC = 0xDD2F, a word 0x5555 becomes 0x3285. Eqn. 3 gives
+  // 0x0000, what a full recompute gives; the RFC 1141 form gave 0xFFFF (-0).
+  EXPECT_EQ(checksum_adjust(0xdd2f, 0x5555, 0x3285), 0x0000);
+}
+
+/// L4 segment of an IPv4 frame: from the L4 header to the IPv4 total length.
+std::span<std::uint8_t> l4_segment(Bytes& frame, const PacketHeaders& h) {
+  const std::size_t end = kEthernetHeaderSize + h.ip->total_length;
+  return {frame.data() + h.l4_offset, end - h.l4_offset};
+}
+
+std::size_t l4_checksum_offset(const PacketHeaders& h) {
+  return h.l4_offset + (h.udp ? 6 : 16);
+}
+
+std::uint16_t read16(const Bytes& f, std::size_t off) {
+  return static_cast<std::uint16_t>((f[off] << 8) | f[off + 1]);
+}
+
+void write16(Bytes& f, std::size_t off, std::uint16_t v) {
+  f[off] = static_cast<std::uint8_t>(v >> 8);
+  f[off + 1] = static_cast<std::uint8_t>(v);
+}
+
+/// The L4 checksum a sender computes from scratch: RFC 768 sends a UDP
+/// checksum that computes to zero as all ones.
+std::uint16_t full_l4_checksum(Bytes& frame, const PacketHeaders& h) {
+  const std::size_t off = l4_checksum_offset(h);
+  const std::uint16_t stored = read16(frame, off);
+  write16(frame, off, 0);
+  std::uint16_t sum = l4_checksum(h.ip->src, h.ip->dst, h.ip->protocol,
+                                  l4_segment(frame, h));
+  write16(frame, off, stored);
+  if (sum == 0 && h.udp) sum = 0xffff;
+  return sum;
+}
+
+/// Writes a valid L4 checksum into a simulator frame (which carries zero).
+void fill_l4_checksum(Bytes& frame) {
+  const auto h = PacketHeaders::parse(frame).value();
+  write16(frame, l4_checksum_offset(h), full_l4_checksum(frame, h));
+}
+
+bool ipv4_header_verifies(const Bytes& frame, const PacketHeaders& h) {
+  return internet_checksum(std::span<const std::uint8_t>(
+             frame.data() + kEthernetHeaderSize,
+             h.l4_offset - kEthernetHeaderSize)) == 0;
+}
+
+Ipv4Address random_ip(Rng& rng) {
+  return Ipv4Address{static_cast<std::uint32_t>(rng.next())};
+}
+
+std::uint16_t random_port(Rng& rng) {
+  return static_cast<std::uint16_t>(rng.uniform(65536));
+}
+
+TEST(Rewrite, IncrementalChecksumsMatchFullRecompute) {
+  Rng rng(1624);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const bool tcp = rng.chance(0.5);
+    Bytes payload(rng.uniform(64), 0);
+    for (auto& b : payload) b = static_cast<std::uint8_t>(rng.uniform(256));
+    const std::uint16_t sport = random_port(rng);
+    const std::uint16_t dport = random_port(rng);
+    Bytes frame =
+        tcp ? build_tcp(kMacA, kMacB, random_ip(rng), random_ip(rng),
+                        TcpHeader{sport, dport,
+                                  static_cast<std::uint32_t>(rng.next()),
+                                  static_cast<std::uint32_t>(rng.next()),
+                                  TcpFlags::kAck, 512},
+                        payload)
+            : build_udp(kMacA, kMacB, random_ip(rng), random_ip(rng), sport,
+                        dport, payload, static_cast<std::uint8_t>(rng.uniform(256)));
+    // Some UDP frames keep "no checksum" (zero) to check it stays zero.
+    const bool zero_udp = !tcp && rng.chance(0.25);
+    if (!zero_udp) fill_l4_checksum(frame);
+    auto headers = PacketHeaders::parse(frame).value();
+    // A TCP checksum that computes to zero reads as "elided" and stays zero.
+    const bool stays_zero = read16(frame, l4_checksum_offset(headers)) == 0;
+    if (!tcp) EXPECT_EQ(stays_zero, zero_udp) << "trial " << trial;
+
+    for (int step = 0; step < 4; ++step) {
+      switch (rng.uniform(4)) {
+        case 0: set_nw_src(frame, headers, random_ip(rng)); break;
+        case 1: set_nw_dst(frame, headers, random_ip(rng)); break;
+        case 2: set_tp_src(frame, headers, random_port(rng)); break;
+        default: set_tp_dst(frame, headers, random_port(rng)); break;
+      }
+    }
+
+    // The headers kept in step with the bytes.
+    const auto reparsed = PacketHeaders::parse(frame).value();
+    EXPECT_EQ(reparsed.ip->src, headers.ip->src);
+    EXPECT_EQ(reparsed.ip->dst, headers.ip->dst);
+    EXPECT_EQ(reparsed.five_tuple(), headers.five_tuple());
+    ASSERT_TRUE(ipv4_header_verifies(frame, headers)) << "trial " << trial;
+    const std::uint16_t stored = read16(frame, l4_checksum_offset(headers));
+    if (stays_zero) {
+      EXPECT_EQ(stored, 0) << "trial " << trial;
+    } else {
+      EXPECT_EQ(stored, full_l4_checksum(frame, headers)) << "trial " << trial;
+    }
+  }
+}
+
+TEST(Rewrite, ChecksumsLandingOnZeroMatchFullRecompute) {
+  // The RFC 1624 -0 edge: pick the rewrite that makes each full recompute
+  // come out 0 and check the incremental path writes what it would.
+  Bytes udp = build_udp(kMacA, kMacB, kIpA, kIpB, 1111, 2222, Bytes(10, 0x42));
+  fill_l4_checksum(udp);
+  const auto base = PacketHeaders::parse(udp).value();
+
+  // IPv4 header checksum 0x0000 after set-nw-dst.
+  bool found_ip = false;
+  for (std::uint32_t low = 0; low < 0x10000 && !found_ip; ++low) {
+    const Ipv4Address dst{(kIpB.value() & 0xffff0000u) | low};
+    Bytes frame = udp;
+    auto headers = base;
+    set_nw_dst(frame, headers, dst);
+    if (read16(frame, kEthernetHeaderSize + 10) != 0) continue;
+    found_ip = true;
+    EXPECT_TRUE(ipv4_header_verifies(frame, headers));
+    EXPECT_EQ(read16(frame, l4_checksum_offset(headers)),
+              full_l4_checksum(frame, headers));
+    // And back again from a zero checksum.
+    set_nw_dst(frame, headers, kIpB);
+    EXPECT_EQ(frame, udp);
+  }
+  EXPECT_TRUE(found_ip);
+
+  // A UDP checksum that computes to zero goes out as 0xFFFF, and a 0xFFFF
+  // checksum adjusts like any other.
+  bool found_udp = false;
+  for (std::uint32_t port = 0; port < 0x10000 && !found_udp; ++port) {
+    Bytes frame = udp;
+    auto headers = base;
+    write16(frame, base.l4_offset, static_cast<std::uint16_t>(port));
+    headers.udp->src_port = static_cast<std::uint16_t>(port);
+    if (full_l4_checksum(frame, headers) != 0xffff) continue;
+    found_udp = true;
+    frame = udp;
+    headers = base;
+    set_tp_src(frame, headers, static_cast<std::uint16_t>(port));
+    EXPECT_EQ(read16(frame, l4_checksum_offset(headers)), 0xffff);
+    set_tp_src(frame, headers, 1111);
+    EXPECT_EQ(frame, udp);
+  }
+  EXPECT_TRUE(found_udp);
+}
+
+TEST(Rewrite, ActionsOnAbsentLayersAreNoOps) {
+  ArpMessage arp;
+  arp.op = ArpOp::Request;
+  arp.sender_mac = kMacA;
+  arp.sender_ip = kIpA;
+  arp.target_ip = kIpB;
+  const Bytes original = build_arp(arp);
+  Bytes frame = original;
+  auto headers = PacketHeaders::parse(frame).value();
+  set_nw_src(frame, headers, kIpB);
+  set_nw_dst(frame, headers, kIpA);
+  set_tp_src(frame, headers, 1);
+  set_tp_dst(frame, headers, 2);
+  EXPECT_EQ(frame, original);
+  set_dl_src(frame, headers, kMacB);
+  EXPECT_EQ(PacketHeaders::parse(frame).value().eth.src, kMacB);
+  EXPECT_EQ(headers.eth.src, kMacB);
+}
+
+TEST(Rewrite, ParseLocatesPayloadWithoutCopying) {
+  const Bytes frame = build_udp(kMacA, kMacB, kIpA, kIpB, 1, 2, Bytes{7, 8, 9});
+  const auto headers = PacketHeaders::parse(frame).value();
+  const auto payload = headers.payload(frame);
+  ASSERT_EQ(payload.size(), 3u);
+  EXPECT_EQ(payload.data(), frame.data() + frame.size() - 3);
+  EXPECT_EQ(ParsedPacket::parse(frame).value().l4_payload, (Bytes{7, 8, 9}));
+}
 
 // ---------------------------------------------------------------------------
 // Application mapping ("imperfect application–protocol mapping")

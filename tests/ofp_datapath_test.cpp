@@ -195,6 +195,156 @@ TEST_F(DatapathFixture, HeaderRewriteActions) {
   EXPECT_EQ(net::internet_checksum(ip_hdr), 0);
 }
 
+/// A TCP frame the simulator never builds: IPv4 and TCP options, nonzero
+/// DSCP, flags without DF, a valid nonzero TCP checksum, a live urgent
+/// pointer, and Ethernet trailer padding past the IPv4 total length.
+Bytes unusual_tcp_frame() {
+  const Bytes ip_options = {0x01, 0x01, 0x01, 0x00};  // NOP NOP NOP EOL
+  // MSS 1460, NOP, NOP, SACK permitted.
+  const Bytes tcp_options = {0x02, 0x04, 0x05, 0xb4, 0x01, 0x01, 0x04, 0x02};
+  const Bytes payload = {'h', 'o', 'm', 'e', 'w', 'o', 'r', 'k'};
+  const std::size_t ihl = net::kIpv4MinHeaderSize + ip_options.size();
+  const std::size_t tcp_len =
+      net::kTcpMinHeaderSize + tcp_options.size() + payload.size();
+
+  ByteWriter w;
+  net::EthernetHeader{kHostB, kHostA, 0x0800}.serialize(w);
+  w.u8(static_cast<std::uint8_t>(0x40 | ihl / 4));
+  w.u8(0xb8);  // DSCP EF
+  w.u16(static_cast<std::uint16_t>(ihl + tcp_len));
+  w.u16(0x1234);  // identification
+  w.u16(0x0000);  // DF clear
+  w.u8(37);       // TTL
+  w.u8(6);        // TCP
+  w.u16(0);       // header checksum, filled below
+  w.u32(kIpA.value());
+  w.u32(kIpB.value());
+  w.raw(ip_options);
+  w.u16(40000);
+  w.u16(443);
+  w.u32(0x01020304);
+  w.u32(0x0a0b0c0d);
+  const std::size_t data_offset = net::kTcpMinHeaderSize + tcp_options.size();
+  const std::uint16_t urg_ack_psh = 0x38;
+  w.u16(static_cast<std::uint16_t>((data_offset / 4) << 12 | urg_ack_psh));
+  w.u16(4096);  // window
+  w.u16(0);     // checksum, filled below
+  w.u16(3);     // urgent pointer
+  w.raw(tcp_options);
+  w.raw(payload);
+  w.zeros(6);  // trailer padding
+  Bytes frame = std::move(w).take();
+
+  const std::size_t ip_off = net::kEthernetHeaderSize;
+  const std::size_t tcp_off = ip_off + ihl;
+  const std::uint16_t ip_sum = net::internet_checksum(
+      std::span<const std::uint8_t>(frame.data() + ip_off, ihl));
+  frame[ip_off + 10] = static_cast<std::uint8_t>(ip_sum >> 8);
+  frame[ip_off + 11] = static_cast<std::uint8_t>(ip_sum);
+  const std::uint16_t tcp_sum = net::l4_checksum(
+      kIpA, kIpB, 6, std::span<const std::uint8_t>(frame.data() + tcp_off, tcp_len));
+  frame[tcp_off + 16] = static_cast<std::uint8_t>(tcp_sum >> 8);
+  frame[tcp_off + 17] = static_cast<std::uint8_t>(tcp_sum);
+  return frame;
+}
+
+TEST_F(DatapathFixture, MacRewriteLeavesEveryOtherByteAlone) {
+  const Bytes frame = unusual_tcp_frame();
+  ASSERT_TRUE(net::ParsedPacket::parse(frame).ok());
+  FlowMod mod;
+  mod.match = Match::any();
+  mod.actions = {ActionSetDlSrc{MacAddress::from_index(0xbb)},
+                 ActionSetDlDst{MacAddress::from_index(0xcc)},
+                 ActionOutput{2, 0}};
+  controller.send(std::move(mod));
+  loop.run_for(kMillisecond);
+
+  dp.receive_frame(1, frame);
+  ASSERT_EQ(port2_out.frames.size(), 1u);
+  const Bytes& out = port2_out.frames[0];
+  ASSERT_EQ(out.size(), frame.size());  // trailer padding kept
+  const auto dst = MacAddress::from_index(0xcc).octets();
+  const auto src = MacAddress::from_index(0xbb).octets();
+  EXPECT_TRUE(std::equal(dst.begin(), dst.end(), out.begin()));
+  EXPECT_TRUE(std::equal(src.begin(), src.end(), out.begin() + 6));
+  // Options, flags, DSCP, TCP checksum, urgent pointer, trailer: untouched.
+  EXPECT_TRUE(std::equal(frame.begin() + 12, frame.end(), out.begin() + 12));
+}
+
+TEST_F(DatapathFixture, NetworkAndPortRewritesUpdateChecksumsIncrementally) {
+  FlowMod mod;
+  mod.match = Match::any();
+  mod.actions = {ActionSetNwSrc{Ipv4Address{100, 64, 0, 1}},
+                 ActionSetNwDst{Ipv4Address{203, 0, 113, 9}},
+                 ActionSetTpSrc{61000},
+                 ActionSetTpDst{8443},
+                 ActionOutput{2, 0}};
+  controller.send(std::move(mod));
+  loop.run_for(kMillisecond);
+
+  const Bytes frame = unusual_tcp_frame();
+  dp.receive_frame(1, frame);
+  ASSERT_EQ(port2_out.frames.size(), 1u);
+  Bytes out = port2_out.frames[0];
+  ASSERT_EQ(out.size(), frame.size());
+  const auto p = net::ParsedPacket::parse(out);
+  ASSERT_TRUE(p.ok());
+  EXPECT_EQ(p.value().ip->src, (Ipv4Address{100, 64, 0, 1}));
+  EXPECT_EQ(p.value().ip->dst, (Ipv4Address{203, 0, 113, 9}));
+  EXPECT_EQ(p.value().tcp->src_port, 61000);
+  EXPECT_EQ(p.value().tcp->dst_port, 8443);
+
+  const std::size_t ip_off = net::kEthernetHeaderSize;
+  const std::size_t ihl = p.value().l4_offset - ip_off;
+  const std::size_t tcp_len = p.value().ip->total_length - ihl;
+  const std::size_t sum_off = p.value().l4_offset + 16;
+  EXPECT_EQ(net::internet_checksum(
+                std::span<const std::uint8_t>(out.data() + ip_off, ihl)),
+            0);
+  const std::uint16_t stored =
+      static_cast<std::uint16_t>(out[sum_off] << 8 | out[sum_off + 1]);
+  out[sum_off] = out[sum_off + 1] = 0;
+  const std::span<const std::uint8_t> segment(out.data() + p.value().l4_offset,
+                                              tcp_len);
+  EXPECT_EQ(stored,
+            net::l4_checksum(p.value().ip->src, p.value().ip->dst, 6, segment));
+  // Only the rewritten fields and their checksums changed.
+  const auto changed = [&](std::size_t i) {
+    const std::size_t l4 = p.value().l4_offset;
+    return (i >= ip_off + 10 && i < ip_off + 20) ||  // checksum, addresses
+           (i >= l4 && i < l4 + 4) ||                // ports
+           (i >= sum_off && i < sum_off + 2);        // TCP checksum
+  };
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    if (!changed(i)) EXPECT_EQ(out[i], frame[i]) << "byte " << i;
+  }
+
+  // A zero UDP checksum means "none" and stays zero.
+  dp.receive_frame(1, udp_frame(kHostA, kIpA, kIpB, 80));
+  ASSERT_EQ(port2_out.frames.size(), 2u);
+  const auto udp = net::PacketHeaders::parse(port2_out.frames[1]);
+  ASSERT_TRUE(udp.ok());
+  EXPECT_EQ(udp.value().udp->dst_port, 8443);
+  EXPECT_EQ(port2_out.frames[1][udp.value().l4_offset + 6], 0);
+  EXPECT_EQ(port2_out.frames[1][udp.value().l4_offset + 7], 0);
+}
+
+TEST_F(DatapathFixture, UnparseablePacketOutLeavesFrameUnchanged) {
+  const Bytes junk = {0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4, 5, 6, 7};
+  ASSERT_FALSE(net::ParsedPacket::parse(junk).ok());
+  PacketOut po;
+  po.in_port = 1;
+  po.data = junk;
+  po.actions = {ActionSetDlSrc{MacAddress::from_index(0xbb)},
+                ActionSetNwDst{Ipv4Address{1, 2, 3, 4}},
+                ActionSetTpDst{9},
+                ActionOutput{2, 0}};
+  controller.send(std::move(po));
+  loop.run_for(kMillisecond);
+  ASSERT_EQ(port2_out.frames.size(), 1u);
+  EXPECT_EQ(port2_out.frames[0], junk);
+}
+
 TEST_F(DatapathFixture, DropRuleSwallowsTraffic) {
   FlowMod mod;
   mod.match = Match::any();

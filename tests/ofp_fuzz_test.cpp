@@ -1,12 +1,16 @@
-// Malformed-message property/fuzz suite for the stream framer and wire
-// codec: random truncations, byte flips and garbage prefixes must surface as
-// errors or rejected frames — never a crash, and never a permanent desync
+// Malformed-message property/fuzz suite for the stream framer, the wire
+// codec and the datapath's set-field path: random truncations, byte flips
+// and garbage prefixes must surface as errors, drops or rejected frames —
+// never a crash, never an out-of-bounds access, and never a permanent desync
 // that keeps subsequent valid messages from being delivered. CI runs this
 // suite under ASan/UBSan.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "net/packet.hpp"
+#include "openflow/channel.hpp"
+#include "openflow/datapath.hpp"
 #include "openflow/messages.hpp"
 #include "openflow/stream_channel.hpp"
 #include "util/rand.hpp"
@@ -180,6 +184,98 @@ TEST(OfpFuzz, MangledStreamsNeverCrashTheDecoder) {
     // the mangled ones took the process down.
     EXPECT_LE(decoded_frames, 20u);
   }
+}
+
+/// Every truncation and every single-byte flip (each position, each of the
+/// 255 nonzero XOR masks) of `base`.
+std::vector<Bytes> mutations_of(const Bytes& base) {
+  std::vector<Bytes> out;
+  for (std::size_t len = 0; len < base.size(); ++len) {
+    out.emplace_back(base.begin(), base.begin() + static_cast<std::ptrdiff_t>(len));
+  }
+  for (std::size_t pos = 0; pos < base.size(); ++pos) {
+    for (unsigned mask = 1; mask < 256; ++mask) {
+      Bytes flipped = base;
+      flipped[pos] ^= static_cast<std::uint8_t>(mask);
+      out.push_back(std::move(flipped));
+    }
+  }
+  return out;
+}
+
+TEST(OfpFuzz, SetFieldPathsSurviveTruncationsAndFlips) {
+  const MacAddress a = MacAddress::from_index(1);
+  const MacAddress b = MacAddress::from_index(2);
+  const Ipv4Address ip_a{192, 168, 1, 100};
+  const Ipv4Address ip_b{10, 0, 0, 1};
+  net::ArpMessage arp;
+  arp.op = net::ArpOp::Request;
+  arp.sender_mac = a;
+  arp.sender_ip = ip_a;
+  arp.target_ip = ip_b;
+  const std::vector<Bytes> bases = {
+      net::build_udp(a, b, ip_a, ip_b, 1234, 53, Bytes(12, 0x11)),
+      net::build_tcp(a, b, ip_a, ip_b,
+                     net::TcpHeader{40000, 443, 7, 9, net::TcpFlags::kAck, 512},
+                     Bytes(12, 0x22)),
+      net::build_arp(arp)};
+  const ActionList actions = {ActionSetDlSrc{MacAddress::from_index(0xbb)},
+                              ActionSetDlDst{MacAddress::from_index(0xcc)},
+                              ActionSetNwSrc{Ipv4Address{100, 64, 0, 1}},
+                              ActionSetNwDst{Ipv4Address{203, 0, 113, 9}},
+                              ActionSetTpSrc{61000},
+                              ActionSetTpDst{8443},
+                              ActionOutput{2, 0}};
+
+  sim::EventLoop loop;
+  Datapath dp(loop, {});
+  std::vector<Bytes> delivered;
+  sim::CallbackSink sink([&delivered](const Bytes& f) { delivered.push_back(f); });
+  dp.add_port(1, "in", a, &sink);
+  dp.add_port(2, "out", b, &sink);
+  InProcConnection conn(loop);
+  conn.controller_end().on_receive([](const Bytes&) {});
+  dp.connect(conn.datapath_end());
+  FlowMod rule;
+  rule.match = Match::any();
+  rule.actions = actions;
+  dp.table().apply(rule, 0);
+
+  std::size_t variants = 0;
+  for (const Bytes& base : bases) {
+    for (const Bytes& frame : mutations_of(base)) {
+      ++variants;
+      const bool parses = net::ParsedPacket::parse(frame).ok();
+      ASSERT_EQ(net::PacketHeaders::parse(frame).ok(), parses);
+
+      // Ingress through the rule: parsed and forwarded, or counted dropped.
+      const std::uint64_t dropped = dp.port_counters(1)->rx_dropped;
+      delivered.clear();
+      dp.receive_frame(1, frame);
+      if (parses) {
+        ASSERT_EQ(delivered.size(), 1u);
+        EXPECT_EQ(delivered[0].size(), frame.size());
+        EXPECT_EQ(dp.port_counters(1)->rx_dropped, dropped);
+      } else {
+        EXPECT_TRUE(delivered.empty());
+        EXPECT_EQ(dp.port_counters(1)->rx_dropped, dropped + 1);
+      }
+
+      // The same actions on a packet-out: an unparseable frame comes out
+      // exactly as it went in.
+      PacketOut po;
+      po.in_port = 1;
+      po.data = frame;
+      po.actions = actions;
+      delivered.clear();
+      conn.controller_end().send(encode({1, std::move(po)}));
+      loop.run_for(kMillisecond);
+      ASSERT_EQ(delivered.size(), 1u);
+      EXPECT_EQ(delivered[0].size(), frame.size());
+      if (!parses) EXPECT_EQ(delivered[0], frame);
+    }
+  }
+  EXPECT_GT(variants, 3u * 255u * 28u);
 }
 
 }  // namespace
